@@ -22,12 +22,137 @@
 use crate::kernel::KernelDesc;
 use std::collections::VecDeque;
 
+/// Whole-buffer LRU residency over any buffer key.
+///
+/// [`L2Cache`] keys it by buffer-id string; the layer-periodic pricer in
+/// [`crate::Gpu::run`] keys it by `(layer, local id)` so a layer's state can
+/// be compared with the previous layer's under a one-layer shift. Both run
+/// the same [`Residency::access`], so they filter traffic identically.
+#[derive(Debug, Clone)]
+pub(crate) struct Residency<K> {
+    capacity: u64,
+    /// LRU queue of resident buffers, most recent at the back.
+    resident: VecDeque<(K, u64)>,
+    /// Running sum of the bytes in `resident`.
+    bytes: u64,
+}
+
+impl<K: PartialEq> Residency<K> {
+    pub(crate) fn new(capacity: u64) -> Self {
+        Residency {
+            capacity,
+            resident: VecDeque::new(),
+            bytes: 0,
+        }
+    }
+
+    pub(crate) fn capacity(&self) -> u64 {
+        self.capacity
+    }
+
+    /// Resident buffers, least recently used first.
+    pub(crate) fn entries(&self) -> &VecDeque<(K, u64)> {
+        &self.resident
+    }
+
+    /// Rebuilds a residency from entries in LRU order, as [`Self::entries`]
+    /// returns them.
+    pub(crate) fn from_entries(capacity: u64, resident: VecDeque<(K, u64)>) -> Self {
+        let bytes = resident.iter().map(|(_, b)| *b).sum();
+        Residency {
+            capacity,
+            resident,
+            bytes,
+        }
+    }
+
+    fn position<Q: PartialEq<K> + ?Sized>(&self, key: &Q) -> Option<usize> {
+        self.resident.iter().position(|(k, _)| key == k)
+    }
+
+    fn flush(&mut self) {
+        self.resident.clear();
+        self.bytes = 0;
+    }
+
+    fn touch(&mut self, pos: usize) {
+        let entry = self.resident.remove(pos).expect("present");
+        self.resident.push_back(entry);
+    }
+
+    fn insert<Q: PartialEq<K> + Into<K>>(&mut self, key: Q, bytes: u64) {
+        if bytes > self.capacity {
+            return; // streaming buffer, never cached
+        }
+        if let Some(pos) = self.position(&key) {
+            let (_, old) = self.resident.remove(pos).expect("present");
+            self.bytes -= old;
+        }
+        self.resident.push_back((key.into(), bytes));
+        self.bytes += bytes;
+        while self.bytes > self.capacity {
+            let (_, evicted) = self.resident.pop_front().expect("over capacity");
+            self.bytes -= evicted;
+        }
+    }
+
+    /// Accounts one kernel's execution: computes the DRAM traffic after L2
+    /// filtering and updates residency. `read_key(i)` and `write_key(i)` name
+    /// the buffers of `kernel.reads[i]` and `kernel.writes[i]`.
+    pub(crate) fn access<Q: Copy + PartialEq<K> + Into<K>>(
+        &mut self,
+        kernel: &KernelDesc,
+        read_key: impl Fn(usize) -> Q,
+        write_key: impl Fn(usize) -> Q,
+    ) -> FilteredTraffic {
+        let declared_reads: u64 = kernel.reads.iter().map(|b| b.bytes).sum();
+        let total_reads = kernel.tbs.total_read_bytes();
+        let total_writes = kernel.tbs.total_write_bytes();
+
+        // 1. Hits: reads of fully-resident buffers.
+        let mut hit_bytes: u64 = 0;
+        for (i, r) in kernel.reads.iter().enumerate() {
+            if let Some(pos) = self.position(&read_key(i)) {
+                hit_bytes += r.bytes;
+                self.touch(pos);
+            }
+        }
+        // Reads not attributed to any named buffer always miss.
+        let attributed_miss = declared_reads.saturating_sub(hit_bytes) as f64;
+        let unattributed = (total_reads - declared_reads as f64).max(0.0);
+        let dram_read = attributed_miss + unattributed;
+
+        // 2. Streaming thrash: if this kernel moves more non-resident data
+        // than the cache holds, older contents are gone afterwards.
+        let streamed = dram_read + total_writes;
+        if streamed > self.capacity as f64 {
+            self.flush();
+        }
+
+        // 3. Install written buffers (write-through, but cacheable) and
+        // re-install missed reads — each only if it individually fits.
+        for (i, w) in kernel.writes.iter().enumerate() {
+            self.insert(write_key(i), w.bytes);
+        }
+        for (i, r) in kernel.reads.iter().enumerate() {
+            let key = read_key(i);
+            if self.position(&key).is_none() {
+                self.insert(key, r.bytes);
+            }
+        }
+
+        FilteredTraffic {
+            dram_read_bytes: dram_read,
+            dram_write_bytes: total_writes,
+            l2_hit_bytes: hit_bytes as f64,
+        }
+    }
+}
+
 /// L2 cache state across a sequence of kernel launches.
 #[derive(Debug, Clone)]
 pub struct L2Cache {
-    capacity: u64,
-    /// LRU queue of resident buffers, most recent at the back.
-    resident: VecDeque<(String, u64)>,
+    residency: Residency<String>,
 }
 
 /// DRAM traffic actually performed by one kernel after L2 filtering.
@@ -45,29 +170,28 @@ impl L2Cache {
     /// Creates an empty cache with the given capacity in bytes.
     pub fn new(capacity_bytes: u64) -> Self {
         L2Cache {
-            capacity: capacity_bytes,
-            resident: VecDeque::new(),
+            residency: Residency::new(capacity_bytes),
         }
     }
 
     /// Cache capacity in bytes.
     pub fn capacity(&self) -> u64 {
-        self.capacity
+        self.residency.capacity
     }
 
     /// Bytes currently resident.
     pub fn resident_bytes(&self) -> u64 {
-        self.resident.iter().map(|(_, b)| *b).sum()
+        self.residency.bytes
     }
 
     /// Returns `true` if the named buffer is fully resident.
     pub fn contains(&self, id: &str) -> bool {
-        self.resident.iter().any(|(k, _)| k == id)
+        self.residency.position(id).is_some()
     }
 
     /// Invalidates everything (e.g. at a model-iteration boundary).
     pub fn flush(&mut self) {
-        self.resident.clear();
+        self.residency.flush();
     }
 
     /// Accounts one kernel's execution: computes the DRAM traffic after L2
@@ -77,66 +201,19 @@ impl L2Cache {
     /// per-TB read bytes by the simulator; this function returns kernel-level
     /// totals.
     pub fn access(&mut self, kernel: &KernelDesc) -> FilteredTraffic {
-        let declared_reads: u64 = kernel.reads.iter().map(|b| b.bytes).sum();
-        let total_reads = kernel.tbs.total_read_bytes();
-        let total_writes = kernel.tbs.total_write_bytes();
-
-        // 1. Hits: reads of fully-resident buffers.
-        let mut hit_bytes: u64 = 0;
-        for r in &kernel.reads {
-            if self.contains(&r.id) {
-                hit_bytes += r.bytes;
-                self.touch(&r.id);
-            }
-        }
-        // Reads not attributed to any named buffer always miss.
-        let attributed_miss = declared_reads.saturating_sub(hit_bytes) as f64;
-        let unattributed = (total_reads - declared_reads as f64).max(0.0);
-        let dram_read = attributed_miss + unattributed;
-
-        // 2. Streaming thrash: if this kernel moves more non-resident data
-        // than the cache holds, older contents are gone afterwards.
-        let streamed = dram_read + total_writes;
-        if streamed > self.capacity as f64 {
-            self.flush();
-        }
-
-        // 3. Install written buffers (write-through, but cacheable) and
-        // re-install missed reads — each only if it individually fits.
-        for w in &kernel.writes {
-            self.insert(&w.id, w.bytes);
-        }
-        for r in &kernel.reads {
-            if !self.contains(&r.id) {
-                self.insert(&r.id, r.bytes);
-            }
-        }
-
-        FilteredTraffic {
-            dram_read_bytes: dram_read,
-            dram_write_bytes: total_writes,
-            l2_hit_bytes: hit_bytes as f64,
-        }
+        self.residency.access(
+            kernel,
+            |i| kernel.reads[i].id.as_str(),
+            |i| kernel.writes[i].id.as_str(),
+        )
     }
 
-    fn touch(&mut self, id: &str) {
-        if let Some(pos) = self.resident.iter().position(|(k, _)| k == id) {
-            let entry = self.resident.remove(pos).expect("present");
-            self.resident.push_back(entry);
-        }
+    pub(crate) fn residency(&self) -> &Residency<String> {
+        &self.residency
     }
 
-    fn insert(&mut self, id: &str, bytes: u64) {
-        if bytes > self.capacity {
-            return; // streaming buffer, never cached
-        }
-        if let Some(pos) = self.resident.iter().position(|(k, _)| k == id) {
-            self.resident.remove(pos);
-        }
-        self.resident.push_back((id.to_owned(), bytes));
-        while self.resident_bytes() > self.capacity {
-            self.resident.pop_front();
-        }
+    pub(crate) fn set_residency(&mut self, residency: Residency<String>) {
+        self.residency = residency;
     }
 }
 
@@ -238,6 +315,127 @@ mod tests {
         l2.flush();
         assert_eq!(l2.resident_bytes(), 0);
         assert!(!l2.contains("x"));
+    }
+
+    /// The residency model as it stood before the running byte total: it
+    /// re-summed the LRU queue on every pass of the eviction loop.
+    struct Resumming {
+        capacity: u64,
+        resident: VecDeque<(String, u64)>,
+    }
+
+    impl Resumming {
+        fn resident_bytes(&self) -> u64 {
+            self.resident.iter().map(|(_, b)| *b).sum()
+        }
+
+        fn contains(&self, id: &str) -> bool {
+            self.resident.iter().any(|(k, _)| k == id)
+        }
+
+        fn touch(&mut self, id: &str) {
+            if let Some(pos) = self.resident.iter().position(|(k, _)| k == id) {
+                let entry = self.resident.remove(pos).expect("present");
+                self.resident.push_back(entry);
+            }
+        }
+
+        fn insert(&mut self, id: &str, bytes: u64) {
+            if bytes > self.capacity {
+                return;
+            }
+            if let Some(pos) = self.resident.iter().position(|(k, _)| k == id) {
+                self.resident.remove(pos);
+            }
+            self.resident.push_back((id.to_owned(), bytes));
+            while self.resident_bytes() > self.capacity {
+                self.resident.pop_front();
+            }
+        }
+
+        fn access(&mut self, kernel: &KernelDesc) -> FilteredTraffic {
+            let declared_reads: u64 = kernel.reads.iter().map(|b| b.bytes).sum();
+            let total_reads = kernel.tbs.total_read_bytes();
+            let total_writes = kernel.tbs.total_write_bytes();
+            let mut hit_bytes: u64 = 0;
+            for r in &kernel.reads {
+                if self.contains(&r.id) {
+                    hit_bytes += r.bytes;
+                    self.touch(&r.id);
+                }
+            }
+            let attributed_miss = declared_reads.saturating_sub(hit_bytes) as f64;
+            let unattributed = (total_reads - declared_reads as f64).max(0.0);
+            let dram_read = attributed_miss + unattributed;
+            if dram_read + total_writes > self.capacity as f64 {
+                self.resident.clear();
+            }
+            for w in &kernel.writes {
+                self.insert(&w.id, w.bytes);
+            }
+            for r in &kernel.reads {
+                if !self.contains(&r.id) {
+                    self.insert(&r.id, r.bytes);
+                }
+            }
+            FilteredTraffic {
+                dram_read_bytes: dram_read,
+                dram_write_bytes: total_writes,
+                l2_hit_bytes: hit_bytes as f64,
+            }
+        }
+    }
+
+    #[test]
+    fn running_total_matches_resummed_reference() {
+        // xorshift64: a fixed seed keeps the sequence reproducible without
+        // a rand dependency.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let ids = ["a", "b", "c", "d", "e", "f", "g", "h"];
+        let mut l2 = L2Cache::new(1000);
+        let mut reference = Resumming {
+            capacity: 1000,
+            resident: VecDeque::new(),
+        };
+        for step in 0..1000 {
+            let mut b = KernelDesc::builder("k", KernelCategory::Other);
+            let (mut read_total, mut write_total) = (0u64, 0u64);
+            for _ in 0..next(4) {
+                // Sizes up to 1.2x capacity exercise streaming buffers too.
+                let bytes = 1 + next(1200);
+                b.reads(ids[next(8) as usize], bytes);
+                read_total += bytes;
+            }
+            for _ in 0..next(3) {
+                let bytes = 1 + next(1200);
+                b.writes(ids[next(8) as usize], bytes);
+                write_total += bytes;
+            }
+            // Some kernels read more than they attribute, some stream past
+            // the capacity and thrash.
+            let extra = if next(5) == 0 { next(3000) } else { 0 };
+            b.uniform(
+                1,
+                TbWork::memory((read_total + extra) as f64, write_total as f64),
+            );
+            let kernel = b.build();
+            assert_eq!(l2.access(&kernel), reference.access(&kernel), "step {step}");
+            let recomputed: u64 = l2.residency.entries().iter().map(|(_, b)| *b).sum();
+            assert_eq!(l2.resident_bytes(), recomputed, "step {step}");
+            assert_eq!(
+                l2.resident_bytes(),
+                reference.resident_bytes(),
+                "step {step}"
+            );
+            assert!(l2.resident_bytes() <= l2.capacity());
+            assert!(l2.residency.entries().iter().eq(reference.resident.iter()));
+        }
     }
 
     #[test]

@@ -22,6 +22,13 @@
 //!   wave-class dt sequences — repeated kernels anywhere (tuner candidates,
 //!   serve iterations, sweeps) price in O(lookup) with bit-identical
 //!   timelines. `RESOFTMAX_SIM_CACHE=0` disables it.
+//! * **Layer-periodic replay** ([`PeriodicSchedule`]): a transformer stack
+//!   given as one layer and a layer count is priced layer by layer until a
+//!   layer starts from the previous layer's L2 state shifted by one layer;
+//!   every later layer then repeats that layer's [`KernelStats`], so
+//!   [`Gpu::run`] prices two or three of GPT-Neo's 24 decode layers instead
+//!   of all of them, with a timeline bit-identical to the expanded schedule.
+//!   It reuses priced results, so it is off whenever the pricing cache is.
 //!
 //! # Example
 //!
@@ -52,6 +59,7 @@ mod l2;
 mod occupancy;
 mod pricing;
 pub mod roofline;
+mod schedule;
 mod sim;
 mod trace;
 
@@ -66,5 +74,6 @@ pub use pricing::{
     clear_sim_cache, set_sim_cache_enabled, sim_cache_enabled, sim_cache_stats, SimCacheStats,
     MAX_CLASS_ENTRIES, MAX_KERNEL_ENTRIES,
 };
+pub use schedule::{PeriodicSchedule, ScheduleRef};
 pub use sim::Gpu;
 pub use trace::{Breakdown, CategoryTotals, KernelStats, Timeline};

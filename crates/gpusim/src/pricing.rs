@@ -28,7 +28,9 @@
 //! [`set_sim_cache_enabled`] overrides the environment programmatically, and
 //! [`Gpu::set_sim_cache`](crate::Gpu::set_sim_cache) gates one simulator
 //! instance so equivalence tests can compare cached and fresh runs in the
-//! same process.
+//! same process. The same switches govern the layer replay of
+//! [`PeriodicSchedule`](crate::PeriodicSchedule)s, which reuses priced
+//! layers: off means every kernel is priced fresh.
 
 use crate::device::DeviceSpec;
 use crate::kernel::{TbGroup, TbShape, TbWork};

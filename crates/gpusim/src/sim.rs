@@ -19,10 +19,13 @@
 use crate::bandwidth::{effective_bandwidth, utilization};
 use crate::device::DeviceSpec;
 use crate::kernel::{KernelDesc, TbGroup, TbSet, TbWork};
-use crate::l2::{FilteredTraffic, L2Cache};
+use crate::l2::{FilteredTraffic, L2Cache, Residency};
 use crate::occupancy::{occupancy, LaunchError, Occupancy};
 use crate::pricing::{self, GridRef, KernelPrice};
+use crate::schedule::{self, BufKey, PeriodicSchedule, ScheduleRef};
 use crate::trace::{KernelStats, Timeline};
+use std::borrow::Cow;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Residual work below this is treated as finished (guards FP residues left
@@ -119,6 +122,8 @@ impl Gpu {
     /// Enables or disables this instance's use of the process-global
     /// kernel-pricing cache (on by default; see [`crate::sim_cache_enabled`]
     /// for the process-wide switch — both must be on for caching to apply).
+    /// Layer replay of a [`PeriodicSchedule`] reuses priced results too and
+    /// follows the same switches: with the cache off every layer is priced.
     /// The toggle exists for the same reason as [`Self::set_wave_fast_path`]:
     /// cached and fresh pricing are bit-identical, and tests compare the two
     /// in one process to keep that equivalence checkable.
@@ -163,6 +168,14 @@ impl Gpu {
     /// Returns [`LaunchError`] if a single thread block exceeds SM resources.
     pub fn launch(&mut self, kernel: &KernelDesc) -> Result<KernelStats, LaunchError> {
         let occ = occupancy(&self.device, &kernel.shape)?;
+        let traffic = self.l2.access(kernel);
+        let stats = self.price(kernel, occ, traffic);
+        self.timeline.push(stats.clone());
+        Ok(stats)
+    }
+
+    /// Prices one kernel whose L2-filtered traffic is known.
+    fn price(&self, kernel: &KernelDesc, occ: Occupancy, traffic: FilteredTraffic) -> KernelStats {
         if resoftmax_obs::metrics_enabled() {
             resoftmax_obs::counter("sim.kernels_launched").incr();
         }
@@ -174,7 +187,6 @@ impl Gpu {
             } else {
                 Some(resoftmax_obs::span(kernel.name.clone(), "gpusim"))
             };
-        let traffic = self.l2.access(kernel);
 
         // Scale per-TB DRAM reads by the kernel-wide L2 hit ratio.
         let declared_read = kernel.tbs.total_read_bytes();
@@ -232,7 +244,7 @@ impl Gpu {
 
         let flops = kernel.tbs.total_flops();
         let dram_bytes = traffic.dram_read_bytes + traffic.dram_write_bytes;
-        let stats = KernelStats {
+        KernelStats {
             name: kernel.name.clone(),
             category: kernel.category,
             time_s,
@@ -251,20 +263,109 @@ impl Gpu {
             },
             energy_j: (dram_bytes * self.device.dram_pj_per_byte + flops * self.device.flop_pj)
                 * 1e-12,
-        };
-        self.timeline.push(stats.clone());
-        Ok(stats)
+        }
     }
 
-    /// Executes a sequence of kernels in order.
+    /// Executes a schedule in order: a flat kernel sequence, or a
+    /// [`PeriodicSchedule`], whose timeline is bit-identical to running its
+    /// [`expand`](PeriodicSchedule::expand)ed form.
+    ///
+    /// A periodic schedule is priced layer by layer, with L2 residency keyed
+    /// by (layer, local buffer id). Once a layer starts from the previous
+    /// layer's L2 state shifted by one layer (same local ids, layer offsets,
+    /// bytes and LRU order), every later layer launches the same kernels
+    /// against the same relative state, so each pushes the previous layer's
+    /// [`KernelStats`] again, in order; nothing is re-priced. A stack whose
+    /// state never repeats is priced layer by layer to the end, and so is
+    /// every stack while the pricing cache is off ([`Self::set_sim_cache`]).
     ///
     /// # Errors
     ///
     /// Returns the first [`LaunchError`] encountered.
-    pub fn run(&mut self, kernels: &[KernelDesc]) -> Result<(), LaunchError> {
+    pub fn run<'a>(&mut self, schedule: impl Into<ScheduleRef<'a>>) -> Result<(), LaunchError> {
         let _span = resoftmax_obs::span!("Gpu::run", "gpusim");
-        for k in kernels {
-            self.launch(k)?;
+        match schedule.into() {
+            ScheduleRef::Flat(kernels) => {
+                for k in kernels {
+                    self.launch(k)?;
+                }
+                Ok(())
+            }
+            ScheduleRef::Periodic(schedule) => self.run_periodic(schedule),
+        }
+    }
+
+    /// [`Self::run`] for a layer-periodic schedule. The string-keyed L2 state
+    /// is carried into (layer, local id) keys and back out, so flat and
+    /// periodic runs can share one timeline.
+    fn run_periodic(&mut self, schedule: &PeriodicSchedule) -> Result<(), LaunchError> {
+        let mut names = Cow::Borrowed(schedule.names());
+        let carried: VecDeque<(BufKey, u64)> = self
+            .l2
+            .residency()
+            .entries()
+            .iter()
+            .map(|(id, bytes)| (schedule::relative_key(names.to_mut(), id), *bytes))
+            .collect();
+        let mut l2 = Residency::from_entries(self.l2.capacity(), carried);
+        let result = self.price_layers(schedule, &mut l2);
+        let entries = l2
+            .entries()
+            .iter()
+            .map(|&(key, bytes)| (schedule::render_key(&names, key), bytes))
+            .collect();
+        self.l2
+            .set_residency(Residency::from_entries(l2.capacity(), entries));
+        result
+    }
+
+    fn price_layers(
+        &mut self,
+        schedule: &PeriodicSchedule,
+        l2: &mut Residency<BufKey>,
+    ) -> Result<(), LaunchError> {
+        let template = schedule.template();
+        // Replaying a layer reuses priced results, so it follows the pricing
+        // cache's switches: with the cache off every kernel is priced fresh.
+        let replay = self.sim_cache && pricing::sim_cache_enabled();
+        let mut previous_start: Option<VecDeque<(BufKey, u64)>> = None;
+        let mut layer = 0;
+        while layer < schedule.layers() {
+            if previous_start
+                .as_ref()
+                .is_some_and(|prev| is_shifted_by_one(prev, l2.entries()))
+            {
+                break;
+            }
+            if replay {
+                previous_start = Some(l2.entries().clone());
+            }
+            for (kernel, keys) in template.iter().zip(schedule.keys()) {
+                let occ = occupancy(&self.device, &kernel.shape)?;
+                let traffic = l2.access(
+                    kernel,
+                    |i| keys.reads[i].shifted(layer),
+                    |i| keys.writes[i].shifted(layer),
+                );
+                let stats = self.price(kernel, occ, traffic);
+                self.timeline.push(stats);
+            }
+            layer += 1;
+        }
+        let replayed = schedule.layers() - layer;
+        if replayed > 0 {
+            self.timeline.repeat_last(template.len(), replayed);
+            let shifted = l2
+                .entries()
+                .iter()
+                .map(|&(key, bytes)| (key.shifted(replayed), bytes))
+                .collect();
+            *l2 = Residency::from_entries(l2.capacity(), shifted);
+        }
+        if resoftmax_obs::metrics_enabled() {
+            resoftmax_obs::counter("sim.kernels_launched").add((replayed * template.len()) as u64);
+            resoftmax_obs::counter("sim.layers_priced").add(layer as u64);
+            resoftmax_obs::counter("sim.layers_replayed").add(replayed as u64);
         }
         Ok(())
     }
@@ -370,8 +471,7 @@ impl Gpu {
         let threads = f64::from(kernel.shape.threads);
         let slots = (self.device.num_sms as u64 * occ.tbs_per_sm as u64).max(1);
 
-        let mut queue: std::collections::VecDeque<TbGroup> =
-            groups.iter().filter(|g| g.count > 0).copied().collect();
+        let mut queue: VecDeque<TbGroup> = groups.iter().filter(|g| g.count > 0).copied().collect();
         let mut active: Vec<Active> = Vec::new();
         let mut in_flight: u64 = 0;
         let mut now = 0.0f64;
@@ -574,6 +674,16 @@ impl Gpu {
     pub fn peek_traffic(&self, kernel: &KernelDesc) -> FilteredTraffic {
         self.l2.clone().access(kernel)
     }
+}
+
+/// `true` if `next` is `prev` with every layer-scoped key one layer later:
+/// the relative L2 state at which a layer-periodic run starts repeating.
+fn is_shifted_by_one(prev: &VecDeque<(BufKey, u64)>, next: &VecDeque<(BufKey, u64)>) -> bool {
+    prev.len() == next.len()
+        && prev
+            .iter()
+            .zip(next)
+            .all(|(&(p, pb), &(n, nb))| pb == nb && p.shifted(1) == n)
 }
 
 /// Merges consecutive identical per-TB work entries into groups.

@@ -64,6 +64,16 @@ impl Timeline {
         self.kernels.push(stats);
     }
 
+    /// Appends the last `n` records `times` more times, in order: the
+    /// layer-periodic replay of one layer's statistics.
+    pub(crate) fn repeat_last(&mut self, n: usize, times: usize) {
+        let start = self.kernels.len() - n;
+        self.kernels.reserve(n * times);
+        for _ in 0..times {
+            self.kernels.extend_from_within(start..start + n);
+        }
+    }
+
     /// All kernel records in execution order.
     pub fn kernels(&self) -> &[KernelStats] {
         &self.kernels

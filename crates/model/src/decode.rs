@@ -21,7 +21,7 @@ use crate::schedule::{RunParams, SoftmaxStrategy};
 use resoftmax_analyzer::{error_model, DecodeSpec, ErrorBound, ScheduleSpec, StrategyKind};
 use resoftmax_gpusim::{
     AccumFormat, DeviceSpec, KernelCategory, KernelDesc, KernelDescBuilder, KernelMeta,
-    LaunchError, ParallelSplit, TbGroup, TbShape, TbWork,
+    LaunchError, ParallelSplit, PeriodicSchedule, TbGroup, TbShape, TbWork,
 };
 use resoftmax_kernels::costs::{
     buf, common, row_threads, EXP_FLOP_EQUIV, FP16_BYTES, SOFTMAX_PHASE_EFFICIENCY,
@@ -65,6 +65,11 @@ fn per_row_tbs(
 /// sub-vector tile width; its `batch`/`seq_len` are ignored here — the row
 /// count is `ctxs.len()`.
 ///
+/// The layers are identical, so the schedule is layer-periodic: one layer's
+/// kernels (buffer ids `l0.*`, output `l1.x`) and the layer count.
+/// [`Gpu::run`](resoftmax_gpusim::Gpu::run) prices it directly;
+/// [`PeriodicSchedule::expand`] gives the flat form the analyzer reads.
+///
 /// # Panics
 ///
 /// Panics for non-dense models (decode with block-sparse caches is not
@@ -73,7 +78,7 @@ pub fn build_batched_decode_schedule(
     model: &ModelConfig,
     ctxs: &[usize],
     params: &RunParams,
-) -> Vec<KernelDesc> {
+) -> PeriodicSchedule {
     assert!(
         matches!(model.attention, AttentionKind::Dense { .. }),
         "decode cost model covers dense attention only"
@@ -126,253 +131,248 @@ pub fn build_batched_decode_schedule(
         * h;
     let qkv_total = (rows * d_model * FP16_BYTES) as u64;
 
+    // One layer: its buffers are `l0.*`, and its last LayerNorm writes the
+    // next layer's input `l1.x`.
+    let prefix = "l0";
     let mut kernels = Vec::new();
-    for layer in 0..model.layers {
-        let prefix = format!("l{layer}");
-        // QKV projections: `rows`-row GEMVs, weight-streaming bound.
-        for out in ["q", "k", "v"] {
-            kernels.push(common::fc(
-                rows,
-                d_model,
-                d_model,
-                KernelCategory::Fc,
-                &prefix,
-                "x",
-                out,
-                true,
-            ));
-        }
-
-        // q·Kᵀ over the KV cache: one GEMV per instance, streaming that
-        // row's K-cache slice plus its q and (appended) k rows. With
-        // recomposition the LS epilogue rides along (scale + exp + local
-        // max), fused as in Fig. 6, emitting the per-sub-vector m'/d'.
-        let mut qk = KernelDesc::builder(
-            format!(
-                "decode_qk{}(rows={rows},max_ctx={max_ctx})",
-                match (recomposed, ls_accum) {
-                    (false, _) => "",
-                    (true, AccumFormat::Fp32) => "+ls",
-                    (true, AccumFormat::Fp16) => "+ls16",
-                }
-            ),
-            KernelCategory::MatMulQk,
-        );
-        qk.shape(TbShape::new(256, 16 * 1024, 64));
-        per_row_tbs(&mut qk, ctxs, h, |ctx| TbWork {
-            cuda_flops: 2.0 * (ctx * d_head) as f64
-                + if recomposed {
-                    (EXP_FLOP_EQUIV + 6.0) * ctx as f64
-                } else {
-                    2.0 * ctx as f64
-                },
-            tensor_flops: 0.0,
-            dram_read_bytes: ((ctx + 2) * d_head * FP16_BYTES) as f64,
-            dram_write_bytes: (ctx * FP16_BYTES) as f64
-                + if recomposed {
-                    (2 * n_sv(ctx) * FP16_BYTES) as f64
-                } else {
-                    0.0
-                },
-            mem_active_fraction: 1.0,
-            efficiency: STREAM_EFFICIENCY,
-        });
-        qk.meta(KernelMeta {
-            d_head: Some(d_head),
-            instances: Some(inst),
-            fused_ls: recomposed,
-            sub_vector: recomposed.then_some(t_sub),
-            tile_n: recomposed.then_some(t_sub),
-            split: Some(ParallelSplit::OutputRows),
-            accum: Some(if recomposed {
-                ls_accum
-            } else {
-                AccumFormat::Fp32
-            }),
-            ..KernelMeta::default()
-        })
-        .reads(buf(&prefix, "k_cache"), cache_total)
-        .reads(buf(&prefix, "q"), qkv_total)
-        .reads(buf(&prefix, "k"), qkv_total)
-        .writes(
-            buf(&prefix, if recomposed { "x_prime" } else { "scores" }),
-            row_total,
-        );
-        if recomposed {
-            qk.writes(buf(&prefix, "m_prime"), sv_total)
-                .writes(buf(&prefix, "d_prime"), sv_total);
-        }
-        kernels.push(qk.build());
-
-        if recomposed {
-            // IR over each row's sub-vectors: trivially small. 64 instance
-            // rows per TB; the remainder TB charges only its true rows — a
-            // padded figure here is a 4x overcount at GPT-Neo batch 1.
-            let per_inst_sv: Vec<usize> = ctxs
-                .iter()
-                .flat_map(|&c| std::iter::repeat_n(n_sv(c), heads))
-                .collect();
-            let tbs: Vec<TbWork> = per_inst_sv
-                .chunks(64)
-                .map(|chunk| {
-                    let sv: f64 = chunk.iter().map(|&v| v as f64).sum();
-                    TbWork {
-                        cuda_flops: sv * (EXP_FLOP_EQUIV + 4.0),
-                        dram_read_bytes: sv * (2 * FP16_BYTES) as f64,
-                        dram_write_bytes: sv * FP16_BYTES as f64,
-                        ..TbWork::default()
-                    }
-                })
-                .collect();
-            let mut ir = KernelDesc::builder(
-                format!("decode_ir(rows={rows},max_ctx={max_ctx})"),
-                KernelCategory::InterReduction,
-            );
-            ir.shape(TbShape::new(128, 4096, 32))
-                .per_tb(tbs)
-                .meta(KernelMeta {
-                    instances: Some(inst),
-                    sub_vector: Some(t_sub),
-                    split: Some(ParallelSplit::OutputRows),
-                    accum: Some(AccumFormat::Fp32),
-                    ..KernelMeta::default()
-                })
-                .reads(buf(&prefix, "m_prime"), sv_total)
-                .reads(buf(&prefix, "d_prime"), sv_total)
-                .writes(buf(&prefix, "r_prime"), sv_total);
-            kernels.push(ir.build());
-        } else {
-            // Monolithic softmax over ONE row per instance: only
-            // `heads × rows` thread blocks exist — a parallelism desert.
-            // Threads are allocated for the longest row (real kernels size
-            // the block for the worst case), in whole warps.
-            let mut sm = KernelDesc::builder(
-                format!("decode_softmax(rows={rows},max_ctx={max_ctx})"),
-                KernelCategory::Softmax,
-            );
-            sm.shape(TbShape::new(
-                row_threads(max_ctx),
-                (max_ctx * FP16_BYTES) as u32,
-                40,
-            ));
-            per_row_tbs(&mut sm, ctxs, h, |ctx| TbWork {
-                cuda_flops: (EXP_FLOP_EQUIV + 4.0) * ctx as f64,
-                dram_read_bytes: (ctx * FP16_BYTES) as f64,
-                dram_write_bytes: (ctx * FP16_BYTES) as f64,
-                mem_active_fraction: 1.0,
-                efficiency: SOFTMAX_PHASE_EFFICIENCY,
-                ..TbWork::default()
-            });
-            sm.meta(KernelMeta {
-                instances: Some(inst),
-                split: Some(ParallelSplit::OutputRows),
-                accum: Some(AccumFormat::Fp32),
-                ..KernelMeta::default()
-            })
-            .reads(buf(&prefix, "scores"), row_total)
-            .writes(buf(&prefix, "probs"), row_total);
-            kernels.push(sm.build());
-        }
-
-        // P·V over the V cache. Under recomposition the GS prologue rescales
-        // the x' row by the reconstruction factors, so the kernel streams
-        // that row's r' slice too — its traffic is part of the cost model.
-        let mut pv = KernelDesc::builder(
-            format!(
-                "decode_pv{}(rows={rows},max_ctx={max_ctx})",
-                if recomposed { "+gs" } else { "" }
-            ),
-            KernelCategory::MatMulPv,
-        );
-        pv.shape(TbShape::new(256, 16 * 1024, 64));
-        per_row_tbs(&mut pv, ctxs, h, |ctx| TbWork {
-            cuda_flops: 2.0 * (ctx * d_head) as f64 + if recomposed { ctx as f64 } else { 0.0 },
-            dram_read_bytes: ((ctx + 1) * d_head * FP16_BYTES) as f64
-                + (ctx * FP16_BYTES) as f64
-                + if recomposed {
-                    (n_sv(ctx) * FP16_BYTES) as f64
-                } else {
-                    0.0
-                },
-            dram_write_bytes: (d_head * FP16_BYTES) as f64,
-            mem_active_fraction: 1.0,
-            efficiency: STREAM_EFFICIENCY,
-            ..TbWork::default()
-        });
-        pv.meta(KernelMeta {
-            d_head: Some(d_head),
-            instances: Some(inst),
-            fused_gs: recomposed,
-            sub_vector: recomposed.then_some(t_sub),
-            split: Some(ParallelSplit::OutputRows),
-            accum: Some(AccumFormat::Fp32),
-            ..KernelMeta::default()
-        })
-        .reads(buf(&prefix, "v_cache"), cache_total)
-        .reads(
-            buf(&prefix, if recomposed { "x_prime" } else { "probs" }),
-            row_total,
-        )
-        .reads(buf(&prefix, "v"), qkv_total);
-        if recomposed {
-            pv.reads(buf(&prefix, "r_prime"), sv_total);
-        }
-        pv.writes(buf(&prefix, "attn_out"), qkv_total);
-        kernels.push(pv.build());
-
-        // Output projection + FF, all weight-bound GEMVs.
+    // QKV projections: `rows`-row GEMVs, weight-streaming bound.
+    for out in ["q", "k", "v"] {
         kernels.push(common::fc(
             rows,
             d_model,
             d_model,
             KernelCategory::Fc,
-            &prefix,
-            "attn_out",
-            "proj",
+            prefix,
+            "x",
+            out,
             true,
-        ));
-        kernels.push(common::layernorm(rows, d_model, &prefix, "proj", "ln1"));
-        kernels.push(common::fc(
-            rows,
-            d_model,
-            model.d_ff,
-            KernelCategory::FeedForward,
-            &prefix,
-            "ln1",
-            "ff1",
-            true,
-        ));
-        kernels.push(common::fc(
-            rows,
-            model.d_ff,
-            d_model,
-            KernelCategory::FeedForward,
-            &prefix,
-            "ff1",
-            "ff2",
-            false,
-        ));
-        kernels.push(common::layernorm(
-            rows,
-            d_model,
-            "",
-            &format!("{prefix}.ff2"),
-            &format!("l{}.x", layer + 1),
         ));
     }
 
+    // q·Kᵀ over the KV cache: one GEMV per instance, streaming that
+    // row's K-cache slice plus its q and (appended) k rows. With
+    // recomposition the LS epilogue rides along (scale + exp + local
+    // max), fused as in Fig. 6, emitting the per-sub-vector m'/d'.
+    let mut qk = KernelDesc::builder(
+        format!(
+            "decode_qk{}(rows={rows},max_ctx={max_ctx})",
+            match (recomposed, ls_accum) {
+                (false, _) => "",
+                (true, AccumFormat::Fp32) => "+ls",
+                (true, AccumFormat::Fp16) => "+ls16",
+            }
+        ),
+        KernelCategory::MatMulQk,
+    );
+    qk.shape(TbShape::new(256, 16 * 1024, 64));
+    per_row_tbs(&mut qk, ctxs, h, |ctx| TbWork {
+        cuda_flops: 2.0 * (ctx * d_head) as f64
+            + if recomposed {
+                (EXP_FLOP_EQUIV + 6.0) * ctx as f64
+            } else {
+                2.0 * ctx as f64
+            },
+        tensor_flops: 0.0,
+        dram_read_bytes: ((ctx + 2) * d_head * FP16_BYTES) as f64,
+        dram_write_bytes: (ctx * FP16_BYTES) as f64
+            + if recomposed {
+                (2 * n_sv(ctx) * FP16_BYTES) as f64
+            } else {
+                0.0
+            },
+        mem_active_fraction: 1.0,
+        efficiency: STREAM_EFFICIENCY,
+    });
+    qk.meta(KernelMeta {
+        d_head: Some(d_head),
+        instances: Some(inst),
+        fused_ls: recomposed,
+        sub_vector: recomposed.then_some(t_sub),
+        tile_n: recomposed.then_some(t_sub),
+        split: Some(ParallelSplit::OutputRows),
+        accum: Some(if recomposed {
+            ls_accum
+        } else {
+            AccumFormat::Fp32
+        }),
+        ..KernelMeta::default()
+    })
+    .reads(buf(prefix, "k_cache"), cache_total)
+    .reads(buf(prefix, "q"), qkv_total)
+    .reads(buf(prefix, "k"), qkv_total)
+    .writes(
+        buf(prefix, if recomposed { "x_prime" } else { "scores" }),
+        row_total,
+    );
+    if recomposed {
+        qk.writes(buf(prefix, "m_prime"), sv_total)
+            .writes(buf(prefix, "d_prime"), sv_total);
+    }
+    kernels.push(qk.build());
+
+    if recomposed {
+        // IR over each row's sub-vectors: trivially small. 64 instance
+        // rows per TB; the remainder TB charges only its true rows — a
+        // padded figure here is a 4x overcount at GPT-Neo batch 1.
+        let per_inst_sv: Vec<usize> = ctxs
+            .iter()
+            .flat_map(|&c| std::iter::repeat_n(n_sv(c), heads))
+            .collect();
+        let tbs: Vec<TbWork> = per_inst_sv
+            .chunks(64)
+            .map(|chunk| {
+                let sv: f64 = chunk.iter().map(|&v| v as f64).sum();
+                TbWork {
+                    cuda_flops: sv * (EXP_FLOP_EQUIV + 4.0),
+                    dram_read_bytes: sv * (2 * FP16_BYTES) as f64,
+                    dram_write_bytes: sv * FP16_BYTES as f64,
+                    ..TbWork::default()
+                }
+            })
+            .collect();
+        let mut ir = KernelDesc::builder(
+            format!("decode_ir(rows={rows},max_ctx={max_ctx})"),
+            KernelCategory::InterReduction,
+        );
+        ir.shape(TbShape::new(128, 4096, 32))
+            .per_tb(tbs)
+            .meta(KernelMeta {
+                instances: Some(inst),
+                sub_vector: Some(t_sub),
+                split: Some(ParallelSplit::OutputRows),
+                accum: Some(AccumFormat::Fp32),
+                ..KernelMeta::default()
+            })
+            .reads(buf(prefix, "m_prime"), sv_total)
+            .reads(buf(prefix, "d_prime"), sv_total)
+            .writes(buf(prefix, "r_prime"), sv_total);
+        kernels.push(ir.build());
+    } else {
+        // Monolithic softmax over ONE row per instance: only
+        // `heads × rows` thread blocks exist — a parallelism desert.
+        // Threads are allocated for the longest row (real kernels size
+        // the block for the worst case), in whole warps.
+        let mut sm = KernelDesc::builder(
+            format!("decode_softmax(rows={rows},max_ctx={max_ctx})"),
+            KernelCategory::Softmax,
+        );
+        sm.shape(TbShape::new(
+            row_threads(max_ctx),
+            (max_ctx * FP16_BYTES) as u32,
+            40,
+        ));
+        per_row_tbs(&mut sm, ctxs, h, |ctx| TbWork {
+            cuda_flops: (EXP_FLOP_EQUIV + 4.0) * ctx as f64,
+            dram_read_bytes: (ctx * FP16_BYTES) as f64,
+            dram_write_bytes: (ctx * FP16_BYTES) as f64,
+            mem_active_fraction: 1.0,
+            efficiency: SOFTMAX_PHASE_EFFICIENCY,
+            ..TbWork::default()
+        });
+        sm.meta(KernelMeta {
+            instances: Some(inst),
+            split: Some(ParallelSplit::OutputRows),
+            accum: Some(AccumFormat::Fp32),
+            ..KernelMeta::default()
+        })
+        .reads(buf(prefix, "scores"), row_total)
+        .writes(buf(prefix, "probs"), row_total);
+        kernels.push(sm.build());
+    }
+
+    // P·V over the V cache. Under recomposition the GS prologue rescales
+    // the x' row by the reconstruction factors, so the kernel streams
+    // that row's r' slice too — its traffic is part of the cost model.
+    let mut pv = KernelDesc::builder(
+        format!(
+            "decode_pv{}(rows={rows},max_ctx={max_ctx})",
+            if recomposed { "+gs" } else { "" }
+        ),
+        KernelCategory::MatMulPv,
+    );
+    pv.shape(TbShape::new(256, 16 * 1024, 64));
+    per_row_tbs(&mut pv, ctxs, h, |ctx| TbWork {
+        cuda_flops: 2.0 * (ctx * d_head) as f64 + if recomposed { ctx as f64 } else { 0.0 },
+        dram_read_bytes: ((ctx + 1) * d_head * FP16_BYTES) as f64
+            + (ctx * FP16_BYTES) as f64
+            + if recomposed {
+                (n_sv(ctx) * FP16_BYTES) as f64
+            } else {
+                0.0
+            },
+        dram_write_bytes: (d_head * FP16_BYTES) as f64,
+        mem_active_fraction: 1.0,
+        efficiency: STREAM_EFFICIENCY,
+        ..TbWork::default()
+    });
+    pv.meta(KernelMeta {
+        d_head: Some(d_head),
+        instances: Some(inst),
+        fused_gs: recomposed,
+        sub_vector: recomposed.then_some(t_sub),
+        split: Some(ParallelSplit::OutputRows),
+        accum: Some(AccumFormat::Fp32),
+        ..KernelMeta::default()
+    })
+    .reads(buf(prefix, "v_cache"), cache_total)
+    .reads(
+        buf(prefix, if recomposed { "x_prime" } else { "probs" }),
+        row_total,
+    )
+    .reads(buf(prefix, "v"), qkv_total);
+    if recomposed {
+        pv.reads(buf(prefix, "r_prime"), sv_total);
+    }
+    pv.writes(buf(prefix, "attn_out"), qkv_total);
+    kernels.push(pv.build());
+
+    // Output projection + FF, all weight-bound GEMVs.
+    kernels.push(common::fc(
+        rows,
+        d_model,
+        d_model,
+        KernelCategory::Fc,
+        prefix,
+        "attn_out",
+        "proj",
+        true,
+    ));
+    kernels.push(common::layernorm(rows, d_model, prefix, "proj", "ln1"));
+    kernels.push(common::fc(
+        rows,
+        d_model,
+        model.d_ff,
+        KernelCategory::FeedForward,
+        prefix,
+        "ln1",
+        "ff1",
+        true,
+    ));
+    kernels.push(common::fc(
+        rows,
+        model.d_ff,
+        d_model,
+        KernelCategory::FeedForward,
+        prefix,
+        "ff1",
+        "ff2",
+        false,
+    ));
+    kernels.push(common::layernorm(rows, d_model, "", "l0.ff2", "l1.x"));
+
     crate::schedule::apply_ls_split(params, &mut kernels);
+    let schedule = PeriodicSchedule::new(kernels, model.layers);
 
     #[cfg(debug_assertions)]
     {
-        let report = check_decode_schedule(model, ctxs, params, &kernels);
+        let report = check_decode_schedule(model, ctxs, params, &schedule.expand());
         debug_assert!(
             !report.has_errors(),
             "build_batched_decode_schedule produced a schedule that fails static analysis:\n{}",
             report.render()
         );
     }
-    kernels
+    schedule
 }
 
 /// Builds the kernel schedule for generating ONE token per sequence of the
@@ -387,7 +387,7 @@ pub fn build_decode_schedule(
     model: &ModelConfig,
     ctx: usize,
     params: &RunParams,
-) -> Vec<KernelDesc> {
+) -> PeriodicSchedule {
     build_batched_decode_schedule(model, &vec![ctx; params.batch], params)
 }
 
@@ -569,6 +569,7 @@ mod tests {
         let params = RunParams::new(4096).strategy(SoftmaxStrategy::Recomposed);
         let ks = build_decode_schedule(&m, ctx, &params);
         let ir = ks
+            .template()
             .iter()
             .find(|k| k.category == KernelCategory::InterReduction)
             .expect("recomposed decode has an IR kernel");
@@ -586,6 +587,7 @@ mod tests {
         let params = RunParams::new(4096).strategy(SoftmaxStrategy::Recomposed);
         let ks = build_decode_schedule(&m, 4096, &params);
         let pv = ks
+            .template()
             .iter()
             .find(|k| k.category == KernelCategory::MatMulPv)
             .expect("decode has a PV kernel");
@@ -606,6 +608,7 @@ mod tests {
         for ctx in [260, 1000, 4096] {
             let ks = build_batched_decode_schedule(&m, &[ctx], &RunParams::new(4096));
             let sm = ks
+                .template()
                 .iter()
                 .find(|k| k.category == KernelCategory::Softmax)
                 .expect("baseline decode has a softmax kernel");
@@ -625,7 +628,7 @@ mod tests {
             SoftmaxStrategy::Recomposed,
         ] {
             let params = RunParams::new(4096).strategy(strategy);
-            let ks = build_batched_decode_schedule(&m, &ctxs, &params);
+            let ks = build_batched_decode_schedule(&m, &ctxs, &params).expand();
             let report = check_decode_schedule(&m, &ctxs, &params, &ks);
             assert!(!report.has_errors(), "{strategy:?}:\n{}", report.render());
             // The static decode bound is exactly what the pass certifies.
@@ -641,7 +644,7 @@ mod tests {
         let params = RunParams::new(4096)
             .strategy(SoftmaxStrategy::RecomposedFp16)
             .tile(TileConfig::new(64, 16));
-        let ks = build_batched_decode_schedule(&m, &ctxs, &params);
+        let ks = build_batched_decode_schedule(&m, &ctxs, &params).expand();
         let report = check_decode_schedule(&m, &ctxs, &params, &ks);
         assert!(!report.has_errors(), "{}", report.render());
         assert_eq!(report.error_bound, decode_error_bound(&ctxs, &params));

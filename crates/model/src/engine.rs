@@ -4,7 +4,7 @@
 use crate::config::ModelConfig;
 use crate::schedule::{build_schedule, RunParams};
 use resoftmax_gpusim::{
-    Breakdown, DeviceSpec, Gpu, KernelCategory, KernelDesc, LaunchError, Timeline,
+    Breakdown, DeviceSpec, Gpu, KernelCategory, LaunchError, ScheduleRef, Timeline,
 };
 use serde::{Deserialize, Serialize};
 
@@ -115,12 +115,12 @@ pub fn run_inference(
 /// and per-category DRAM-byte counters (exactly one accumulation of each
 /// category's breakdown total per run, so counters reconcile bit-exactly
 /// against [`RunReport::breakdown`]).
-pub(crate) fn simulate_schedule(
+pub(crate) fn simulate_schedule<'a>(
     kind: &'static str,
     model: &ModelConfig,
     params: &RunParams,
     device: DeviceSpec,
-    schedule: &[KernelDesc],
+    schedule: impl Into<ScheduleRef<'a>>,
 ) -> Result<RunReport, LaunchError> {
     let mut stream: Option<(String, f64)> = None;
     let _span = if resoftmax_obs::trace_enabled() {

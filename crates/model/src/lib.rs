@@ -50,7 +50,7 @@ pub use decode::{
 pub use engine::{run_inference, RunReport};
 pub use error::Error;
 pub use library::{LibraryProfile, SparseSupport};
-pub use resoftmax_gpusim::ParallelSplit;
+pub use resoftmax_gpusim::{ParallelSplit, PeriodicSchedule};
 pub use schedule::{
     analysis_spec, build_schedule, check_schedule, static_error_bound, RunParams, SoftmaxStrategy,
 };

@@ -193,8 +193,12 @@ impl Session {
         let schedule =
             crate::decode::build_batched_decode_schedule(&self.model, ctxs, &self.params);
         if self.analyze {
-            let report =
-                crate::decode::check_decode_schedule(&self.model, ctxs, &self.params, &schedule);
+            let report = crate::decode::check_decode_schedule(
+                &self.model,
+                ctxs,
+                &self.params,
+                &schedule.expand(),
+            );
             if report.has_errors() {
                 return Err(Error::Analysis {
                     errors: report.count(resoftmax_analyzer::Severity::Error),

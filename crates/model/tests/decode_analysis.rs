@@ -37,7 +37,7 @@ fn every_decode_schedule_passes_analysis() {
         for strategy in [SoftmaxStrategy::Baseline, SoftmaxStrategy::Recomposed] {
             for &ctxs in batches {
                 let params = RunParams::new(4096).strategy(strategy);
-                let kernels = build_batched_decode_schedule(&model, ctxs, &params);
+                let kernels = build_batched_decode_schedule(&model, ctxs, &params).expand();
                 let report = check_decode_schedule(&model, ctxs, &params, &kernels);
                 assert!(
                     !report.has_errors(),
@@ -78,7 +78,7 @@ fn analyzer_catches_r_prime_dead_store() {
     let model = ModelConfig::gpt_neo_1_3b();
     let params = RunParams::new(4096).strategy(SoftmaxStrategy::Recomposed);
     let ctxs = [4096usize];
-    let mut kernels = build_batched_decode_schedule(&model, &ctxs, &params);
+    let mut kernels = build_batched_decode_schedule(&model, &ctxs, &params).expand();
     for k in &mut kernels {
         if k.category == resoftmax_gpusim::KernelCategory::MatMulPv {
             k.reads.retain(|b| !b.id.ends_with("r_prime"));
@@ -111,7 +111,7 @@ fn decode_traffic_matches_expectations_exactly() {
     for strategy in [SoftmaxStrategy::Baseline, SoftmaxStrategy::Recomposed] {
         let params = RunParams::new(4096).strategy(strategy);
         let ctxs = [260usize, 1000, 4096];
-        let kernels = build_batched_decode_schedule(&model, &ctxs, &params);
+        let kernels = build_batched_decode_schedule(&model, &ctxs, &params).expand();
         let report = check_decode_schedule(&model, &ctxs, &params, &kernels);
         let traffic: Vec<_> = report
             .diagnostics
@@ -129,7 +129,7 @@ fn warp_alignment_lint_fires_on_ragged_blocks() {
     let model = ModelConfig::gpt_neo_1_3b();
     let params = RunParams::new(4096);
     let ctxs = [260usize];
-    let mut kernels = build_batched_decode_schedule(&model, &ctxs, &params);
+    let mut kernels = build_batched_decode_schedule(&model, &ctxs, &params).expand();
     for k in &mut kernels {
         if k.category == resoftmax_gpusim::KernelCategory::Softmax {
             k.shape.threads = 65; // the pre-fix (ctx/4).clamp(32, 1024) value

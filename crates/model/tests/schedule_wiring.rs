@@ -92,7 +92,8 @@ fn training_and_decode_and_seq2seq_wiring() {
             &ModelConfig::gpt_neo_1_3b(),
             1024,
             &RunParams::new(1024).strategy(s),
-        );
+        )
+        .expand();
         check_wiring(&ks, true);
 
         let ks = build_seq2seq_schedule(
@@ -130,7 +131,8 @@ fn every_schedule_launches_on_every_gpu() {
                         &ModelConfig::gpt_neo_1_3b(),
                         1024,
                         &RunParams::new(1024).strategy(s),
-                    ),
+                    )
+                    .expand(),
                 ),
                 (
                     "seq2seq",

@@ -205,7 +205,7 @@ pub fn precheck_decode(
         return Err(Skip::InvalidConfig("tile width must be nonzero".to_owned()));
     }
     check_numerics(decode_error_bound(ctxs, params))?;
-    let schedule = build_batched_decode_schedule(model, ctxs, params);
+    let schedule = build_batched_decode_schedule(model, ctxs, params).expand();
     let report = check_decode_schedule(model, ctxs, params, &schedule);
     if report.has_errors() {
         return Err(Skip::Analysis(report.render()));
@@ -223,7 +223,10 @@ thread_local! {
     static ORACLE_GPU: RefCell<Option<Gpu>> = const { RefCell::new(None) };
 }
 
-fn simulate(device: &DeviceSpec, schedule: &[resoftmax_gpusim::KernelDesc]) -> Result<f64, Skip> {
+fn simulate<'a>(
+    device: &DeviceSpec,
+    schedule: impl Into<resoftmax_gpusim::ScheduleRef<'a>>,
+) -> Result<f64, Skip> {
     ORACLE_GPU.with(|slot| {
         let mut slot = slot.borrow_mut();
         if slot.as_ref().is_none_or(|gpu| gpu.device() != device) {
