@@ -159,8 +159,8 @@ pub fn verify_fusion(l: usize, d_head: usize, t: usize, seed: u64) -> FusionRepo
     let scale = 1.0 / (d_head as f64).sqrt();
 
     let q = randn_matrix::<f64>(l, d_head, 1.0, seed);
-    let k = randn_matrix::<f64>(l, d_head, 1.0, seed + 1);
-    let v = randn_matrix::<f64>(l, d_head, 1.0, seed + 2);
+    let k = randn_matrix::<f64>(l, d_head, 1.0, seed.wrapping_add(1));
+    let v = randn_matrix::<f64>(l, d_head, 1.0, seed.wrapping_add(2));
     let reference = reference_attention(&q, &k, &v, scale, None).expect("shapes ok");
     let (fused, _) = recomposed_attention(&q, &k, &v, t, scale, None).expect("shapes ok");
     let max_abs_f64 = max_abs_diff(&reference, &fused);
@@ -187,7 +187,7 @@ pub fn verify_fusion(l: usize, d_head: usize, t: usize, seed: u64) -> FusionRepo
 /// differences.
 pub fn verify_backward(rows: usize, l: usize, seed: u64) -> f64 {
     let x = randn_matrix::<f64>(rows, l, 1.0, seed);
-    let dy = randn_matrix::<f64>(rows, l, 1.0, seed + 1);
+    let dy = randn_matrix::<f64>(rows, l, 1.0, seed.wrapping_add(1));
     let y = softmax_rows_f64(&x);
     let dx = softmax_backward(&y, &dy);
     let eps = 1e-6;
@@ -293,8 +293,8 @@ pub fn verify_online(l: usize, d_head: usize, t: usize, seed: u64) -> OnlineRepo
     assert!(l.is_multiple_of(t), "t must divide l");
     let scale = 1.0 / (d_head as f64).sqrt();
     let q = randn_matrix::<f64>(l, d_head, 1.0, seed);
-    let k = randn_matrix::<f64>(l, d_head, 1.0, seed + 1);
-    let v = randn_matrix::<f64>(l, d_head, 1.0, seed + 2);
+    let k = randn_matrix::<f64>(l, d_head, 1.0, seed.wrapping_add(1));
+    let v = randn_matrix::<f64>(l, d_head, 1.0, seed.wrapping_add(2));
 
     let dense_ref = reference_attention(&q, &k, &v, scale, None).expect("shapes ok");
     let dense_online = online_attention(&q, &k, &v, t, scale, None).expect("shapes ok");
@@ -333,5 +333,17 @@ mod online_verify_tests {
         let r = verify_online(128, 32, 16, 77);
         assert!(r.dense_max_abs < 1e-5, "{r:?}");
         assert!(r.sparse_max_abs < 1e-5, "{r:?}");
+    }
+
+    #[test]
+    fn seeds_at_u64_max_derive_without_overflow() {
+        // The K/V (and dy) seeds wrap instead of overflowing.
+        for seed in [u64::MAX - 1, u64::MAX] {
+            let f = verify_fusion(64, 16, 16, seed);
+            assert!(f.max_abs_f64 < 1e-5, "{f:?}");
+            let o = verify_online(64, 16, 16, seed);
+            assert!(o.dense_max_abs < 1e-5 && o.sparse_max_abs < 1e-5, "{o:?}");
+            assert!(verify_backward(2, 8, seed) < 1e-5);
+        }
     }
 }

@@ -19,7 +19,7 @@
 
 use crate::decomposed::{check_subvector, inter_reduce, InterReductionOutput};
 use rayon::prelude::*;
-use resoftmax_tensor::{Matrix, Scalar, ShapeError};
+use resoftmax_tensor::{transpose, Matrix, Scalar, ShapeError};
 
 /// Output of the fused `Q·Kᵀ` + Scale + Mask + LS kernel.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,12 +65,15 @@ pub fn fused_qk_ls<T: Scalar>(
     if let Some(m) = mask {
         assert_eq!(m.len(), l * l, "mask length mismatch");
     }
-    let d_head = q.cols();
     let _span = resoftmax_obs::span!("fused_qk_ls", "kernels");
 
     let mut x_prime = Matrix::zeros(l, l);
     let mut m_prime = Matrix::zeros(l, n_sv);
     let mut d_prime = Matrix::zeros(l, n_sv);
+    // K widened once and stored reduction-major (`d_head × L`), so a row's
+    // scores accumulate across columns while each score still sums its
+    // terms in `p` order (DESIGN.md §18).
+    let kt = transpose(&k.map(T::to_f32));
 
     // One "thread block" per (row-tile is irrelevant numerically) output tile
     // of width t: compute the f32 accumulator column strip, then the epilogue.
@@ -84,17 +87,16 @@ pub fn fused_qk_ls<T: Scalar>(
         d_prime.as_mut_slice(),
         n_sv.max(1),
         |r, x_row, m_row, d_row| {
-            for sv in 0..n_sv {
-                // MatMul inner product in f32 (tensor-core accumulate).
-                let mut acc = vec![0.0f32; t];
-                for (j, a) in acc.iter_mut().enumerate() {
-                    let c = sv * t + j;
-                    let mut s = 0.0f32;
-                    for p in 0..d_head {
-                        s += q.get(r, p).to_f32() * k.get(c, p).to_f32();
-                    }
-                    *a = s;
+            // MatMul inner products in f32 (tensor-core accumulate) for the
+            // whole row; each width-t strip is one output tile.
+            let mut scores = vec![0.0f32; l];
+            for (p, &qv) in q.row(r).iter().enumerate() {
+                let qv = qv.to_f32();
+                for (s, &kv) in scores.iter_mut().zip(kt.row(p)) {
+                    *s += qv * kv;
                 }
+            }
+            for (sv, acc) in scores.chunks_exact_mut(t).enumerate() {
                 // Epilogue in f32: scale, mask, local max/normalizer, exp.
                 let mut m = f32::NEG_INFINITY;
                 for (j, a) in acc.iter_mut().enumerate() {
@@ -111,7 +113,7 @@ pub fn fused_qk_ls<T: Scalar>(
                     continue;
                 }
                 let mut d = 0.0f32;
-                for a in &acc {
+                for a in acc.iter() {
                     d += (a - m).exp();
                 }
                 for (j, a) in acc.iter().enumerate() {
@@ -162,22 +164,25 @@ pub fn fused_gs_pv<T: Scalar>(
     }
     let d_head = v.cols();
     let _span = resoftmax_obs::span!("fused_gs_pv", "kernels");
+    // V is already reduction-major; widen it once.
+    let v = v.map(T::to_f32);
     let mut out = Matrix::zeros(l, d_head);
     out.as_mut_slice()
         .par_chunks_mut(d_head.max(1))
         .enumerate()
         .for_each(|(r, o_row)| {
+            let r_row = r_prime.row(r);
             let mut acc = vec![0.0f32; d_head];
-            for k in 0..x_prime.cols() {
-                let rk = r_prime.get(r, k / t).to_f32();
+            for (k, &x) in x_prime.row(r).iter().enumerate() {
+                let rk = r_row[k / t].to_f32();
                 // GS in f32, rounded once to feed the MMA.
-                let p = T::from_f32(x_prime.get(r, k).to_f32() * rk);
+                let p = T::from_f32(x.to_f32() * rk);
                 let pf = p.to_f32();
                 if pf == 0.0 {
                     continue;
                 }
-                for (j, a) in acc.iter_mut().enumerate() {
-                    *a += pf * v.get(k, j).to_f32();
+                for (a, &vv) in acc.iter_mut().zip(v.row(k)) {
+                    *a += pf * vv;
                 }
             }
             for (o, a) in o_row.iter_mut().zip(&acc) {
@@ -245,19 +250,20 @@ pub fn reference_attention<T: Scalar>(
             p.cols()
         )));
     }
+    let v = v.map(T::to_f32);
     let mut out = Matrix::zeros(l, d_head);
     out.as_mut_slice()
         .par_chunks_mut(d_head.max(1))
         .enumerate()
         .for_each(|(r, o_row)| {
             let mut acc = vec![0.0f32; d_head];
-            for c in 0..p.cols() {
-                let pv = p.get(r, c).to_f32();
+            for (c, &pv) in p.row(r).iter().enumerate() {
+                let pv = pv.to_f32();
                 if pv == 0.0 {
                     continue;
                 }
-                for (j, a) in acc.iter_mut().enumerate() {
-                    *a += pv * v.get(c, j).to_f32();
+                for (a, &vv) in acc.iter_mut().zip(v.row(c)) {
+                    *a += pv * vv;
                 }
             }
             for (o, a) in o_row.iter_mut().zip(&acc) {

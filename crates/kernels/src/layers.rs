@@ -30,19 +30,23 @@ pub fn linear<T: Scalar>(x: &Matrix<T>, w: &Matrix<T>, b: &[T]) -> Result<Matrix
             w.cols()
         )));
     }
-    let (d_in, d_out) = (w.rows(), w.cols());
+    let d_out = w.cols();
+    // `w` is already reduction-major (`d_in × d_out`); widen it once.
+    let w = w.map(T::to_f32);
     let mut y = Matrix::zeros(x.rows(), d_out);
     y.as_mut_slice()
         .par_chunks_mut(d_out.max(1))
         .enumerate()
         .for_each(|(r, out)| {
-            let xr = x.row(r);
-            for (j, o) in out.iter_mut().enumerate() {
-                let mut acc = 0.0f32;
-                for (p, x) in xr.iter().enumerate().take(d_in) {
-                    acc += x.to_f32() * w.get(p, j).to_f32();
+            let mut acc = vec![0.0f32; d_out];
+            for (p, &xv) in x.row(r).iter().enumerate() {
+                let xv = xv.to_f32();
+                for (a, &wv) in acc.iter_mut().zip(w.row(p)) {
+                    *a += xv * wv;
                 }
-                *o = T::from_f64(acc as f64 + b[j].to_f64());
+            }
+            for ((o, a), bj) in out.iter_mut().zip(&acc).zip(b) {
+                *o = T::from_f64(*a as f64 + bj.to_f64());
             }
         });
     Ok(y)

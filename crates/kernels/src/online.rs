@@ -20,7 +20,7 @@
 //! with the reference to the same precision as the SDF pipeline.
 
 use rayon::prelude::*;
-use resoftmax_tensor::{Matrix, Scalar, ShapeError};
+use resoftmax_tensor::{transpose, Matrix, Scalar, ShapeError};
 
 /// Fully-fused attention via online softmax: computes
 /// `softmax(scale · mask(Q·Kᵀ)) · V` in one pass over K/V tiles of width
@@ -60,9 +60,12 @@ pub fn online_attention<T: Scalar>(
     if let Some(m) = mask {
         assert_eq!(m.len(), l * l, "mask length mismatch");
     }
-    let d_head = q.cols();
     let d_out = v.cols();
     let n_tiles = l / t;
+    // Operands widened once; K stored reduction-major (`d_head × L`) so a
+    // tile's scores accumulate across columns, each in `p` order.
+    let kt = transpose(&k.map(T::to_f32));
+    let v = v.map(T::to_f32);
 
     let mut out = Matrix::zeros(l, d_out);
     // Rows are independent: parallelize (the per-row online recurrence is
@@ -71,28 +74,33 @@ pub fn online_attention<T: Scalar>(
         .par_chunks_mut(d_out.max(1))
         .enumerate()
         .for_each(|(r, out_row)| {
+            let q_row = q.row(r);
             let mut m_run = f32::NEG_INFINITY;
             let mut d_run = 0.0f32;
             let mut acc = vec![0.0f32; d_out];
+            // Per-tile scratch, reset for every tile.
+            let mut s = vec![0.0f32; t];
+            let mut pv = vec![0.0f32; d_out];
 
             for tile in 0..n_tiles {
                 // Scores for this K tile (f32 accumulate, scale, mask).
-                let mut s = vec![0.0f32; t];
+                let cols = tile * t..(tile + 1) * t;
+                s.fill(0.0);
+                for (p, &qv) in q_row.iter().enumerate() {
+                    let qv = qv.to_f32();
+                    for (sj, &kv) in s.iter_mut().zip(&kt.row(p)[cols.clone()]) {
+                        *sj += qv * kv;
+                    }
+                }
                 let mut m_tile = f32::NEG_INFINITY;
                 for (j, sj) in s.iter_mut().enumerate() {
-                    let c = tile * t + j;
-                    let mut dot = 0.0f32;
-                    for p in 0..d_head {
-                        dot += q.get(r, p).to_f32() * k.get(c, p).to_f32();
-                    }
-                    dot *= scale as f32;
+                    *sj *= scale as f32;
                     if let Some(mk) = mask {
                         if !mk[r * l + tile * t + j] {
-                            dot = f32::NEG_INFINITY;
+                            *sj = f32::NEG_INFINITY;
                         }
                     }
-                    *sj = dot;
-                    m_tile = m_tile.max(dot);
+                    m_tile = m_tile.max(*sj);
                 }
                 if m_tile == f32::NEG_INFINITY {
                     continue; // fully masked tile contributes nothing
@@ -105,16 +113,15 @@ pub fn online_attention<T: Scalar>(
                     (m_run - m_new).exp()
                 };
                 let mut d_tile = 0.0f32;
-                let mut pv = vec![0.0f32; d_out];
-                for (j, &sj) in s.iter().enumerate() {
+                pv.fill(0.0);
+                for (&sj, c) in s.iter().zip(cols) {
                     if sj == f32::NEG_INFINITY {
                         continue;
                     }
                     let e = (sj - m_new).exp();
                     d_tile += e;
-                    let c = tile * t + j;
-                    for (o, p) in pv.iter_mut().enumerate() {
-                        *p += e * v.get(c, o).to_f32();
+                    for (p, &vv) in pv.iter_mut().zip(v.row(c)) {
+                        *p += e * vv;
                     }
                 }
                 d_run = d_run * alpha + d_tile;
@@ -280,10 +287,12 @@ pub fn bs_online_attention<T: Scalar>(
     }
     let _span = resoftmax_obs::span!("bs_online_attention", "kernels");
     let b = layout.block();
-    let d_head = q.cols();
     let d_out = v.cols();
     let row_ptr = layout.row_ptr();
     let blocks: Vec<(usize, usize)> = layout.iter_blocks().collect();
+    // Widen-once operands, K reduction-major, as in `online_attention`.
+    let kt = transpose(&k.map(T::to_f32));
+    let v = v.map(T::to_f32);
 
     let mut out = Matrix::zeros(l, d_out);
     out.as_mut_slice()
@@ -291,20 +300,26 @@ pub fn bs_online_attention<T: Scalar>(
         .enumerate()
         .for_each(|(r, out_row)| {
             let br = r / b;
+            let q_row = q.row(r);
             let mut m_run = f32::NEG_INFINITY;
             let mut d_run = 0.0f32;
             let mut acc = vec![0.0f32; d_out];
+            // Per-block scratch, reset for every retained block.
+            let mut s = vec![0.0f32; b];
+            let mut pv = vec![0.0f32; d_out];
             for &(_, bc) in &blocks[row_ptr[br]..row_ptr[br + 1]] {
                 // Scores for this retained block's columns.
-                let mut s = vec![0.0f32; b];
-                let mut m_tile = f32::NEG_INFINITY;
-                for (j, sj) in s.iter_mut().enumerate() {
-                    let c = bc * b + j;
-                    let mut dot = 0.0f32;
-                    for p in 0..d_head {
-                        dot += q.get(r, p).to_f32() * k.get(c, p).to_f32();
+                let cols = bc * b..(bc + 1) * b;
+                s.fill(0.0);
+                for (p, &qv) in q_row.iter().enumerate() {
+                    let qv = qv.to_f32();
+                    for (sj, &kv) in s.iter_mut().zip(&kt.row(p)[cols.clone()]) {
+                        *sj += qv * kv;
                     }
-                    *sj = dot * scale as f32;
+                }
+                let mut m_tile = f32::NEG_INFINITY;
+                for sj in &mut s {
+                    *sj *= scale as f32;
                     m_tile = m_tile.max(*sj);
                 }
                 let m_new = m_run.max(m_tile);
@@ -314,13 +329,12 @@ pub fn bs_online_attention<T: Scalar>(
                     (m_run - m_new).exp()
                 };
                 let mut d_tile = 0.0f32;
-                let mut pv = vec![0.0f32; d_out];
-                for (j, &sj) in s.iter().enumerate() {
+                pv.fill(0.0);
+                for (&sj, c) in s.iter().zip(cols) {
                     let e = (sj - m_new).exp();
                     d_tile += e;
-                    let c = bc * b + j;
-                    for (o, p) in pv.iter_mut().enumerate() {
-                        *p += e * v.get(c, o).to_f32();
+                    for (p, &vv) in pv.iter_mut().zip(v.row(c)) {
+                        *p += e * vv;
                     }
                 }
                 d_run = d_run * alpha + d_tile;

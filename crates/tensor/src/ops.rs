@@ -2,7 +2,8 @@
 //!
 //! Two matrix-multiply dataflows are provided:
 //!
-//! * [`matmul`] — the naive triple loop with `f64` accumulation; the oracle
+//! * [`matmul`] — the plain triple loop with `f64` accumulation (operands
+//!   widened once, each output summed in reduction order); the oracle
 //!   everything else is tested against.
 //! * [`matmul_tiled`] — the *outer-product dataflow* used by GPU MatMul
 //!   kernels (Fig. 3(b) of the paper): the output is partitioned into
@@ -35,23 +36,9 @@ pub fn matmul<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Result<Matrix<T>, Shap
             b.cols()
         )));
     }
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut out = Matrix::zeros(m, n);
-    // Rows of the output are independent (the k-reduction happens entirely
-    // within one row's dot products), so row bands parallelize bit-exactly.
-    out.as_mut_slice()
-        .par_chunks_mut(n.max(1))
-        .enumerate()
-        .for_each(|(i, row)| {
-            for (j, o) in row.iter_mut().enumerate() {
-                let mut acc = 0.0f64;
-                for p in 0..k {
-                    acc += a.get(i, p).to_f64() * b.get(p, j).to_f64();
-                }
-                *o = T::from_f64(acc);
-            }
-        });
-    Ok(out)
+    // `b` is already reduction-major (row p holds every output column's
+    // p-th term), so it only needs widening.
+    Ok(widened_matmul(a, &b.map(T::to_f64)))
 }
 
 /// `A (m×k) · Bᵀ` where `b` is stored as `n×k` — the `Q·Kᵀ` shape used by the
@@ -73,21 +60,39 @@ pub fn matmul_transpose_b<T: Scalar>(
             b.cols()
         )));
     }
-    let (m, k, n) = (a.rows(), a.cols(), b.rows());
-    let mut out = Matrix::zeros(m, n);
+    // Stored reduction-major: row p holds the p-th term of every output
+    // column.
+    Ok(widened_matmul(a, &transpose(&b.map(T::to_f64))))
+}
+
+/// Widen-once core of [`matmul`] and [`matmul_transpose_b`]: `A · B` with
+/// `b` already widened to `f64` and stored reduction-major (`k × n`).
+///
+/// Each operand element is widened once (exact and pure) instead of once
+/// per multiply-accumulate, and the inner loop runs across a row's output
+/// columns, so every output still sums its terms from `0.0` in `p` order:
+/// the results are bit-identical to the per-element triple loop.
+fn widened_matmul<T: Scalar>(a: &Matrix<T>, b: &Matrix<f64>) -> Matrix<T> {
+    let n = b.cols();
+    let mut out = Matrix::zeros(a.rows(), n);
+    // Rows of the output are independent (the k-reduction happens entirely
+    // within one row's dot products), so row bands parallelize bit-exactly.
     out.as_mut_slice()
         .par_chunks_mut(n.max(1))
         .enumerate()
         .for_each(|(i, row)| {
-            for (j, o) in row.iter_mut().enumerate() {
-                let mut acc = 0.0f64;
-                for p in 0..k {
-                    acc += a.get(i, p).to_f64() * b.get(j, p).to_f64();
+            let mut acc = vec![0.0f64; n];
+            for (p, &av) in a.row(i).iter().enumerate() {
+                let av = av.to_f64();
+                for (s, &bv) in acc.iter_mut().zip(b.row(p)) {
+                    *s += av * bv;
                 }
-                *o = T::from_f64(acc);
+            }
+            for (o, &s) in row.iter_mut().zip(&acc) {
+                *o = T::from_f64(s);
             }
         });
-    Ok(out)
+    out
 }
 
 /// Tiled matrix multiply with the GPU outer-product dataflow and `f32`
