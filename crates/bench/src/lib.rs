@@ -1,5 +1,5 @@
-//! Shared helpers for the experiment binaries (`src/bin/*`) and criterion
-//! benches that regenerate every table and figure of the paper.
+//! Shared helpers for the experiment binaries (`src/bin/*`) that regenerate
+//! every table and figure of the paper.
 //!
 //! Run any experiment with, e.g.:
 //!

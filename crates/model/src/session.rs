@@ -41,7 +41,6 @@ pub struct Session {
     model: ModelConfig,
     device: DeviceSpec,
     params: RunParams,
-    analyze: bool,
 }
 
 /// Builder for [`Session`]; see [`Session::builder`].
@@ -51,7 +50,6 @@ pub struct SessionBuilder {
     device: Option<DeviceSpec>,
     params: Option<RunParams>,
     strategy: Option<SoftmaxStrategy>,
-    analyze: bool,
     instrument: Option<bool>,
 }
 
@@ -60,10 +58,7 @@ impl Session {
     /// [`params`](SessionBuilder::params) are required; the device defaults
     /// to the A100.
     pub fn builder() -> SessionBuilder {
-        SessionBuilder {
-            analyze: true,
-            ..SessionBuilder::default()
-        }
+        SessionBuilder::default()
     }
 
     /// The model this session runs.
@@ -91,19 +86,17 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// [`Error::Analysis`] if the built schedule fails static analysis (and
-    /// analysis was not disabled), [`Error::Launch`] if a kernel cannot
+    /// [`Error::Analysis`] if the built schedule fails static analysis,
+    /// [`Error::Launch`] if a kernel cannot
     /// launch on the device.
     pub fn run(&self) -> Result<RunReport, Error> {
         let schedule = build_schedule(&self.model, &self.params);
-        if self.analyze {
-            let report = check_schedule(&self.model, &self.params, &schedule);
-            if report.has_errors() {
-                return Err(Error::Analysis {
-                    errors: report.count(resoftmax_analyzer::Severity::Error),
-                    report: report.render(),
-                });
-            }
+        let report = check_schedule(&self.model, &self.params, &schedule);
+        if report.has_errors() {
+            return Err(Error::Analysis {
+                errors: report.count(resoftmax_analyzer::Severity::Error),
+                report: report.render(),
+            });
         }
         Ok(simulate_schedule(
             "Session::run",
@@ -121,9 +114,8 @@ impl Session {
     ///
     /// [`Error::InvalidConfig`] for the combinations the decode cost model
     /// does not cover (sparse attention, the online-fused strategy, zero
-    /// `ctx`); [`Error::Analysis`] if the schedule fails static analysis
-    /// (and analysis was not disabled); [`Error::Launch`] if a kernel cannot
-    /// launch.
+    /// `ctx`); [`Error::Analysis`] if the schedule fails static analysis;
+    /// [`Error::Launch`] if a kernel cannot launch.
     pub fn decode_step(&self, ctx: usize) -> Result<RunReport, Error> {
         if ctx == 0 {
             return Err(Error::InvalidConfig {
@@ -143,8 +135,7 @@ impl Session {
     /// [`Error::InvalidConfig`] for the combinations the decode cost model
     /// does not cover (sparse attention, the online-fused strategy, an empty
     /// batch, a zero context); [`Error::Analysis`] if the schedule fails
-    /// static analysis (and analysis was not disabled); [`Error::Launch`] if
-    /// a kernel cannot launch.
+    /// static analysis; [`Error::Launch`] if a kernel cannot launch.
     pub fn decode_batch(&self, ctxs: &[usize]) -> Result<RunReport, Error> {
         if !matches!(self.model.attention, AttentionKind::Dense { .. }) {
             return Err(Error::InvalidConfig {
@@ -192,19 +183,17 @@ impl Session {
         }
         let schedule =
             crate::decode::build_batched_decode_schedule(&self.model, ctxs, &self.params);
-        if self.analyze {
-            let report = crate::decode::check_decode_schedule(
-                &self.model,
-                ctxs,
-                &self.params,
-                &schedule.expand(),
-            );
-            if report.has_errors() {
-                return Err(Error::Analysis {
-                    errors: report.count(resoftmax_analyzer::Severity::Error),
-                    report: report.render(),
-                });
-            }
+        let report = crate::decode::check_decode_schedule(
+            &self.model,
+            ctxs,
+            &self.params,
+            &schedule.expand(),
+        );
+        if report.has_errors() {
+            return Err(Error::Analysis {
+                errors: report.count(resoftmax_analyzer::Severity::Error),
+                report: report.render(),
+            });
         }
         Ok(simulate_schedule(
             "Session::decode_step",
@@ -242,14 +231,6 @@ impl SessionBuilder {
     #[must_use]
     pub fn strategy(mut self, strategy: SoftmaxStrategy) -> Self {
         self.strategy = Some(strategy);
-        self
-    }
-
-    /// Enables or disables the static-analysis gate in [`Session::run`]
-    /// (enabled by default).
-    #[must_use]
-    pub fn analyze(mut self, analyze: bool) -> Self {
-        self.analyze = analyze;
         self
     }
 
@@ -342,7 +323,6 @@ impl SessionBuilder {
             model,
             device: self.device.unwrap_or_else(DeviceSpec::a100),
             params,
-            analyze: self.analyze,
         })
     }
 }

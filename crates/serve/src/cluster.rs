@@ -13,11 +13,12 @@
 //! [`ControlPlane`] decisions, when one is attached), and replica engine
 //! steps. Each replica owns its simulated clock (busy-until time); the
 //! fleet always advances whichever source is earliest, breaking exact ties
-//! in the fixed order *fault ≤ arrival ≤ handoff ≤ ctrl ≤ step* (handoffs
-//! and activations tie on enqueue order, steps on the lowest replica id).
-//! All time is simulated GPU/interconnect time, so a fleet report —
-//! decision log included — is bit-identical across host thread counts and
-//! reruns.
+//! in the fixed order *fault < arrival < handoff < scale-up activation <
+//! decision < step* (handoffs and activations tie on enqueue order, steps
+//! on the lowest replica id). One private run state owns everything a run
+//! mutates and has one handler per event source. All time is simulated
+//! GPU/interconnect time, so a fleet report — decision log included — is
+//! bit-identical across host thread counts and reruns.
 //!
 //! Disaggregation: replicas carry a [`Role`]. Fresh arrivals (and displaced
 //! requests that owe prefill work) route over the *prefill-capable* subset;
@@ -39,7 +40,10 @@ use crate::replica::{Replica, ReqState, Role, StepAcc};
 use crate::request::{poisson_arrivals, Arrival, ServeConfig};
 use crate::router::{ReplicaView, Router, RouterPolicy};
 use resoftmax_gpusim::{DeviceSpec, Timeline};
-use resoftmax_model::{decode_error_bound, AttentionKind, ModelConfig, RunParams, SoftmaxStrategy};
+use resoftmax_model::{
+    build_batched_decode_schedule, decode_error_bound, AttentionKind, ModelConfig, RunParams,
+    SoftmaxStrategy,
+};
 
 static BASELINE: BaselinePlanner = BaselinePlanner;
 
@@ -119,8 +123,6 @@ pub struct FleetBuilder<'a> {
     events: Vec<FleetEvent>,
     planners: Vec<&'a dyn IterationPlanner>,
     control: Option<&'a dyn ControlPlane>,
-    migrate_on_evict: Option<bool>,
-    analyze: Option<bool>,
 }
 
 impl<'a> FleetBuilder<'a> {
@@ -329,22 +331,6 @@ impl<'a> FleetBuilder<'a> {
         self
     }
 
-    /// Whether an evicted request's KV pages may migrate to a sibling
-    /// replica instead of being dropped and re-prefilled (default: `true`).
-    #[must_use]
-    pub fn migrate_on_evict(mut self, on: bool) -> Self {
-        self.migrate_on_evict = Some(on);
-        self
-    }
-
-    /// Enables or disables the static-analysis gate on the decode schedule
-    /// shape (enabled by default, exactly like `Session`).
-    #[must_use]
-    pub fn analyze(mut self, analyze: bool) -> Self {
-        self.analyze = Some(analyze);
-        self
-    }
-
     /// Validates the whole configuration and builds the [`Fleet`].
     ///
     /// # Errors
@@ -526,7 +512,6 @@ impl<'a> FleetBuilder<'a> {
         // (model, params) pair per distinct device, decode legality, and the
         // certified-numerics budget at the worst decode context the workload
         // can reach.
-        let analyze = self.analyze.unwrap_or(true);
         let mut seen: Vec<&str> = Vec::new();
         for d in &self.replicas {
             if seen.contains(&d.name.as_str()) {
@@ -537,7 +522,6 @@ impl<'a> FleetBuilder<'a> {
                 .model(model.clone())
                 .device(d.clone())
                 .params(params.clone())
-                .analyze(analyze)
                 .build()?;
         }
         if !matches!(model.attention, AttentionKind::Dense { .. }) {
@@ -627,7 +611,6 @@ impl<'a> FleetBuilder<'a> {
             },
             planners: self.planners,
             control: self.control,
-            migrate_on_evict: self.migrate_on_evict.unwrap_or(true),
         })
     }
 }
@@ -664,15 +647,14 @@ pub struct Fleet<'a> {
     events: Vec<FleetEvent>,
     planners: Vec<&'a dyn IterationPlanner>,
     control: Option<&'a dyn ControlPlane>,
-    migrate_on_evict: bool,
 }
 
-/// The six things the fleet can do next; ordering on equal times is
-/// fault ≤ arrival ≤ handoff ≤ ctrl ≤ step, and within ctrl a scale-up
-/// activation lands before the decision (a decision at the same instant
-/// sees the fresh replica).
+/// What the fleet does next; [`Run::next_event`] orders same-time events.
+#[derive(Clone, Copy)]
 enum Action {
+    /// The next scripted fault.
     Fault,
+    /// The next workload arrival.
     Arrival,
     /// Index into the pending-handoff queue.
     Handoff(usize),
@@ -680,6 +662,7 @@ enum Action {
     Activate(usize),
     /// A control-plane decision fires.
     Decide,
+    /// Replica id.
     Step(usize),
 }
 
@@ -739,6 +722,59 @@ impl Routers {
     }
 }
 
+/// Control-plane state of one run; inert when no plane is attached.
+#[derive(Default)]
+struct Control {
+    /// Simulated time of the next decision; `None` while the plane is idle.
+    next_s: Option<f64>,
+    /// TTFT and TBT signal windows (present with a plane attached).
+    windows: Option<(SlidingWindow, SlidingWindow)>,
+    /// Armed token-bucket admission control.
+    admission: Option<TokenBucket>,
+    decisions: Vec<ControlRecord>,
+}
+
+/// The fleet-level counters the report carries besides the per-replica ones.
+#[derive(Default)]
+struct Tally {
+    migrations: usize,
+    migration_drops: usize,
+    kv_migrated_bytes: u64,
+    migration_time_s: f64,
+    kv_handoff_bytes: u64,
+    kv_handoff_time_s: f64,
+    scale_ups: usize,
+    scale_downs: usize,
+}
+
+/// Everything one [`Fleet::run`] mutates. [`next_event`](Run::next_event)
+/// picks what happens next and each [`Action`] has one handler.
+struct Run<'f, 'a> {
+    fleet: &'f Fleet<'a>,
+    /// The workload config iterations run under: a working copy whose
+    /// policy and prefill chunk the control plane actuates.
+    cfg: ServeConfig,
+    arrivals: Vec<Arrival>,
+    next_arrival: usize,
+    next_fault: usize,
+    states: Vec<ReqState>,
+    replicas: Vec<Replica>,
+    routers: Routers,
+    acc: StepAcc,
+    /// KV handoffs in flight, in enqueue order.
+    handoffs: Vec<Handoff>,
+    /// Scale-ups warming toward activation: (replica, activation time), in
+    /// enqueue order.
+    activations: Vec<(usize, f64)>,
+    control: Control,
+    tally: Tally,
+    /// Steps plus decisions so far, against `cfg.max_iterations`.
+    iterations: usize,
+    bytes_per_token: u64,
+    /// Wall-clock anchor of the per-replica trace streams, when tracing.
+    trace_anchor_us: Option<f64>,
+}
+
 impl Fleet<'_> {
     /// Number of replicas.
     pub fn len(&self) -> usize {
@@ -772,26 +808,47 @@ impl Fleet<'_> {
     /// # Errors
     ///
     /// [`Error::Config`] when fault events leave work outstanding with no
-    /// accepting replica, [`Error::Model`] / [`Error::Analysis`] when an
-    /// iteration's schedule fails to launch or analyze.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `cfg.max_iterations` is exceeded — the loop-termination
-    /// backstop, which validated configurations do not hit.
+    /// accepting replica, when the control plane misbehaves, when the run
+    /// exceeds `cfg.max_iterations` steps plus decisions, or when work
+    /// remains with no event left to make progress; [`Error::Model`] /
+    /// [`Error::Analysis`] when an iteration's schedule fails to launch or
+    /// analyze.
     pub fn run(&self) -> Result<FleetReport, Error> {
-        let cfg = &self.cfg;
-        let arrivals = match &self.arrivals {
+        let mut run = Run::new(self)?;
+        while run.acc.completed < self.cfg.requests {
+            let limit = self.cfg.max_iterations;
+            if run.iterations >= limit {
+                return Err(run.halted(format_args!("exceeded {limit} iterations")));
+            }
+            let Some((when, action)) = run.next_event() else {
+                return Err(run.halted(format_args!("has no pending event")));
+            };
+            match action {
+                Action::Fault => run.fault()?,
+                Action::Arrival => run.arrival(when)?,
+                Action::Handoff(k) => run.handoff(k, when)?,
+                Action::Activate(k) => run.activate(k),
+                Action::Decide => run.decide(when)?,
+                Action::Step(i) => run.step(i, when)?,
+            }
+        }
+        Ok(run.report())
+    }
+}
+
+impl<'f, 'a> Run<'f, 'a> {
+    fn new(fleet: &'f Fleet<'a>) -> Result<Self, Error> {
+        let cfg = &fleet.cfg;
+        let arrivals = match &fleet.arrivals {
             Some(trace) => trace.clone(),
             None => poisson_arrivals(cfg),
         };
-        let bytes_per_token = kv_bytes_per_token(&self.model);
         let sessions = if cfg.sessions == 0 {
             arrivals.len() as u64
         } else {
             cfg.sessions as u64
         };
-        let mut states: Vec<ReqState> = arrivals
+        let states = arrivals
             .iter()
             .enumerate()
             .map(|(id, a)| ReqState {
@@ -807,17 +864,17 @@ impl Fleet<'_> {
                 last_token_s: a.at_s,
             })
             .collect();
-
         let trace = resoftmax_obs::trace_enabled();
-        let anchor_us = resoftmax_obs::recorder().now_us();
-        let mut replicas: Vec<Replica> = self
+        let trace_anchor_us = Some(resoftmax_obs::recorder().now_us()).filter(|_| trace);
+        let bytes_per_token = kv_bytes_per_token(&fleet.model);
+        let replicas = fleet
             .devices
             .iter()
             .enumerate()
             .map(|(i, d)| {
-                let pool = KvPool::new(self.pool_caps[i], cfg.kv_block_tokens, bytes_per_token);
-                let mut r = Replica::new(i, d.clone(), self.roles[i], pool);
-                if self.standby[i] {
+                let pool = KvPool::new(fleet.pool_caps[i], cfg.kv_block_tokens, bytes_per_token);
+                let mut r = Replica::new(i, d.clone(), fleet.roles[i], pool);
+                if fleet.standby[i] {
                     r.standby = true;
                     r.accepting = false;
                 }
@@ -827,28 +884,11 @@ impl Fleet<'_> {
                 r
             })
             .collect();
-        let mut routers = Routers::new(self.router);
-
-        let mut next_event = 0usize;
-        let mut next_arrival = 0usize;
-        let mut acc = StepAcc::default();
-        let mut total_iterations = 0usize;
-        let mut migrations = 0usize;
-        let mut migration_drops = 0usize;
-        let mut kv_migrated_bytes = 0u64;
-        let mut migration_time_s = 0.0f64;
-        let mut pending_handoffs: Vec<Handoff> = Vec::new();
-        let mut kv_handoff_bytes = 0u64;
-        let mut kv_handoff_time_s = 0.0f64;
-
-        // Control-plane state. `begin` resets the controller so reruns of
-        // the same `Fleet` stay bit-identical; the knobs it may actuate
-        // live on a working copy of the workload config.
-        let mut live_cfg = cfg.clone();
-        let mut ctrl_next = f64::INFINITY;
-        let mut signal_windows: Option<(SlidingWindow, SlidingWindow)> = None;
-        if let Some(control) = self.control {
-            let init = control.begin(cfg);
+        // `begin` resets the controller so reruns of the same `Fleet` stay
+        // bit-identical.
+        let mut control = Control::default();
+        if let Some(plane) = fleet.control {
+            let init = plane.begin(cfg);
             if !(init.window_s > 0.0 && init.window_s.is_finite()) {
                 return Err(Error::Config {
                     reason: format!(
@@ -858,404 +898,474 @@ impl Fleet<'_> {
                     ),
                 });
             }
-            if init.first_decision_s.is_finite() {
-                ctrl_next = init.first_decision_s;
-            }
-            signal_windows = Some((
+            control.next_s = Some(init.first_decision_s).filter(|t| t.is_finite());
+            control.windows = Some((
                 SlidingWindow::new(init.window_s, SIGNAL_WINDOW_CAP),
                 SlidingWindow::new(init.window_s, SIGNAL_WINDOW_CAP),
             ));
         }
-        // Scale-ups warming toward activation: (replica, activation time),
-        // enqueue order (same-time ties resolve to the earliest enqueued).
-        let mut pending_activations: Vec<(usize, f64)> = Vec::new();
-        let mut admission: Option<TokenBucket> = None;
-        let mut decisions: Vec<ControlRecord> = Vec::new();
-        let mut scale_ups = 0usize;
-        let mut scale_downs = 0usize;
+        Ok(Run {
+            fleet,
+            cfg: cfg.clone(),
+            arrivals,
+            next_arrival: 0,
+            next_fault: 0,
+            states,
+            replicas,
+            routers: Routers::new(fleet.router),
+            acc: StepAcc::default(),
+            handoffs: Vec::new(),
+            activations: Vec::new(),
+            control,
+            tally: Tally::default(),
+            iterations: 0,
+            bytes_per_token,
+            trace_anchor_us,
+        })
+    }
 
-        while acc.completed < cfg.requests {
-            assert!(
-                total_iterations < cfg.max_iterations,
-                "fleet loop exceeded {} iterations with {}/{} requests done",
-                cfg.max_iterations,
-                acc.completed,
-                cfg.requests
-            );
+    /// The earliest pending event. Same-time events resolve on the key
+    /// (time, source rank, index), times compared exactly:
+    ///
+    /// | rank | source   | index                |
+    /// |------|----------|----------------------|
+    /// | 0    | fault    | —                    |
+    /// | 1    | arrival  | —                    |
+    /// | 2    | handoff  | enqueue position     |
+    /// | 3    | activate | enqueue position     |
+    /// | 4    | decide   | —                    |
+    /// | 5    | step     | replica id           |
+    ///
+    /// A source with nothing pending offers no candidate, so `None` means
+    /// the run cannot make progress.
+    fn next_event(&self) -> Option<(f64, Action)> {
+        let fault = self.fleet.events.get(self.next_fault);
+        let arrival = self.arrivals.get(self.next_arrival);
+        let handoffs = self.handoffs.iter().enumerate();
+        let activations = self.activations.iter().enumerate();
+        let steps = self.replicas.iter().enumerate();
+        fault
+            .map(|ev| (ev.at_s(), 0, 0, Action::Fault))
+            .into_iter()
+            .chain(arrival.map(|a| (a.at_s, 1, 0, Action::Arrival)))
+            .chain(handoffs.map(|(k, h)| (h.at_s, 2, k, Action::Handoff(k))))
+            .chain(activations.map(|(k, &(_, t))| (t, 3, k, Action::Activate(k))))
+            .chain(self.control.next_s.map(|t| (t, 4, 0, Action::Decide)))
+            .chain(steps.filter_map(|(i, r)| {
+                let t = r.next_time(&self.states)?;
+                Some((t, 5, i, Action::Step(i)))
+            }))
+            .reduce(|best, c| {
+                if (c.0, c.1, c.2) < (best.0, best.1, best.2) {
+                    c
+                } else {
+                    best
+                }
+            })
+            .map(|(t, _, _, action)| (t, action))
+    }
 
-            // Pick the earliest of: next fault, next arrival, earliest
-            // handoff completion, control plane (scale-up activation, then
-            // decision), earliest replica step. Ties resolve
-            // fault ≤ arrival ≤ handoff ≤ ctrl ≤ step; steps tie on the
-            // lowest replica id, handoffs and activations on enqueue order
-            // (strict `<` in those scans).
-            let mut when = f64::INFINITY;
-            let mut action: Option<Action> = None;
-            for (i, r) in replicas.iter().enumerate() {
-                if let Some(t) = r.next_time(&states) {
-                    if t < when {
-                        when = t;
-                        action = Some(Action::Step(i));
-                    }
-                }
-            }
-            if ctrl_next <= when {
-                when = ctrl_next;
-                action = Some(Action::Decide);
-            }
-            let mut activation: Option<(usize, f64)> = None;
-            for (ai, &(_, t)) in pending_activations.iter().enumerate() {
-                if activation.is_none_or(|(_, best)| t < best) {
-                    activation = Some((ai, t));
-                }
-            }
-            if let Some((ai, t)) = activation {
-                if t <= when {
-                    when = t;
-                    action = Some(Action::Activate(ai));
-                }
-            }
-            let mut handoff: Option<(usize, f64)> = None;
-            for (hi, h) in pending_handoffs.iter().enumerate() {
-                if handoff.is_none_or(|(_, t)| h.at_s < t) {
-                    handoff = Some((hi, h.at_s));
-                }
-            }
-            if let Some((hi, t)) = handoff {
-                if t <= when {
-                    when = t;
-                    action = Some(Action::Handoff(hi));
-                }
-            }
-            if next_arrival < arrivals.len() && arrivals[next_arrival].at_s <= when {
-                when = arrivals[next_arrival].at_s;
-                action = Some(Action::Arrival);
-            }
-            if next_event < self.events.len() && self.events[next_event].at_s() <= when {
-                when = self.events[next_event].at_s();
-                action = Some(Action::Fault);
-            }
-            let Some(action) = action else {
-                unreachable!(
-                    "fleet stalled: {}/{} requests done with no arrivals, faults, or \
-                     runnable replicas left",
-                    acc.completed, cfg.requests
-                );
-            };
+    /// The error for a run that must stop with work outstanding.
+    fn halted(&self, what: std::fmt::Arguments) -> Error {
+        Error::Config {
+            reason: format!(
+                "fleet loop {what} with {}/{} requests done",
+                self.acc.completed, self.fleet.cfg.requests
+            ),
+        }
+    }
 
-            match action {
-                Action::Fault => {
-                    let ev = self.events[next_event];
-                    next_event += 1;
-                    self.apply_fault(
-                        ev,
-                        &mut replicas,
-                        &mut states,
-                        &mut routers,
-                        &mut migrations,
-                        &mut migration_drops,
-                        &mut kv_migrated_bytes,
-                        &mut migration_time_s,
-                        bytes_per_token,
-                    )?;
+    /// Applies the next scripted fault at its simulated time.
+    fn fault(&mut self) -> Result<(), Error> {
+        let ev = self.fleet.events[self.next_fault];
+        self.next_fault += 1;
+        let r = &mut self.replicas[ev.replica()];
+        r.accepting = false;
+        match ev {
+            FleetEvent::Drain { .. } => r.drained = true,
+            FleetEvent::Fail { .. } => r.failed = true,
+        }
+        let what = if r.failed { "failed" } else { "drained" };
+        self.displace_all(ev.replica(), ev.at_s(), what)
+    }
+
+    /// Routes the next arrival over the prefill-capable replicas.
+    fn arrival(&mut self, when: f64) -> Result<(), Error> {
+        let id = self.next_arrival;
+        self.next_arrival += 1;
+        let views = accepting_views(&self.replicas, &self.states, usize::MAX, Phase::Prefill);
+        if views.is_empty() {
+            return Err(Error::Config {
+                reason: format!(
+                    "request {id} arrived at {when:.3}s with every prefill-capable \
+                     replica drained or failed"
+                ),
+            });
+        }
+        let dest = self
+            .routers
+            .route(Phase::Prefill, self.states[id].session, &views);
+        self.replicas[dest].waiting.push(id);
+        // Token-bucket admission control (when armed): the arrival pays its
+        // prompt tokens; past the burst its ready time is pushed to when the
+        // refill covers it.
+        if let Some(bucket) = &mut self.control.admission {
+            let admit_at = bucket.admit(when, self.states[id].prompt as f64);
+            if admit_at > when {
+                let st = &mut self.states[id];
+                st.ready_s = st.ready_s.max(admit_at);
+                resoftmax_obs::counter("ctrl.admission_delays").incr();
+            }
+        }
+        Ok(())
+    }
+
+    /// Lands handoff `k`: the request joins a decode-capable replica with
+    /// its cache intact.
+    fn handoff(&mut self, k: usize, when: f64) -> Result<(), Error> {
+        // `remove` (not `swap_remove`) keeps enqueue order for the remaining
+        // transfers, so same-time ties stay deterministic.
+        let Handoff { id, at_s } = self.handoffs.remove(k);
+        let views = accepting_views(&self.replicas, &self.states, usize::MAX, Phase::Decode);
+        if views.is_empty() {
+            return Err(Error::Config {
+                reason: format!(
+                    "request {id} finished its KV handoff at {when:.3}s with every \
+                     decode-capable replica drained or failed"
+                ),
+            });
+        }
+        let dest = self
+            .routers
+            .route(Phase::Decode, self.states[id].session, &views);
+        // Reserve the landed pages up front when the pool has room;
+        // otherwise the request queues with no reservation and admission
+        // allocates (possibly reclaiming parked reservations) later — the
+        // cache itself is preserved either way, so decode proceeds without
+        // re-prefill.
+        let r = &mut self.replicas[dest];
+        let need = r.pool.blocks_for(self.states[id].cached);
+        if r.pool.try_alloc(need) {
+            self.states[id].blocks = need;
+        }
+        self.states[id].ready_s = at_s;
+        r.waiting.push(id);
+        r.note_handoff_in();
+        Ok(())
+    }
+
+    /// Lands scale-up `k`: the warmed replica enters rotation.
+    fn activate(&mut self, k: usize) {
+        // `remove` (not `swap_remove`) keeps enqueue order for the remaining
+        // warm-ups.
+        let (i, at_s) = self.activations.remove(k);
+        let r = &mut self.replicas[i];
+        r.warming = false;
+        // A fault that landed mid-warm-up wins: the weight transfer is
+        // discarded and the replica stays out.
+        if !r.failed && !r.drained {
+            r.standby = false;
+            r.accepting = true;
+            r.clock_s = r.clock_s.max(at_s);
+            self.tally.scale_ups += 1;
+            resoftmax_obs::counter("ctrl.scale_ups").incr();
+        }
+    }
+
+    /// Asks the control plane for a decision, applies it, and logs it.
+    fn decide(&mut self, when: f64) -> Result<(), Error> {
+        // `next_event` schedules decisions only with a plane attached.
+        let Some(plane) = self.fleet.control else {
+            return Ok(());
+        };
+        let replicas = &self.replicas;
+        let active = replicas.iter().filter(|r| r.accepting).count();
+        let kv_occupancy = if active > 0 {
+            replicas
+                .iter()
+                .filter(|r| r.accepting)
+                .map(|r| r.pool.occupancy())
+                .sum::<f64>()
+                / active as f64
+        } else {
+            0.0
+        };
+        let (ttft, tbt) = match &self.control.windows {
+            Some((tw, bw)) => (tw.stats(when), bw.stats(when)),
+            None => (None, None),
+        };
+        let signals = FleetSignals {
+            now_s: when,
+            arrived: self.next_arrival,
+            completed: self.acc.completed,
+            queue_depth: replicas.iter().map(|r| r.waiting.len()).sum(),
+            handoff_backlog: self.handoffs.len(),
+            max_batch: self.cfg.max_batch,
+            ttft,
+            tbt,
+            replicas: replicas
+                .iter()
+                .map(|r| ReplicaSignal {
+                    id: r.id,
+                    role: r.role,
+                    accepting: r.accepting,
+                    standby: r.standby,
+                    warming: r.warming,
+                    queue_len: r.waiting.len(),
+                    running: r.running.len(),
+                    kv_occupancy: r.pool.occupancy(),
+                })
+                .collect(),
+        };
+        let decision = plane.decide(&signals);
+        let mut applied = Vec::with_capacity(decision.actions.len());
+        for action in &decision.actions {
+            applied.push(self.apply(action, when)?);
+        }
+        self.control.decisions.push(ControlRecord {
+            seq: self.control.decisions.len(),
+            at_s: when,
+            regime: decision.regime,
+            actions: decision.actions,
+            applied,
+            queue_depth: signals.queue_depth,
+            active_replicas: active,
+            kv_occupancy,
+            handoff_backlog: signals.handoff_backlog,
+            ttft,
+            tbt,
+        });
+        if decision.next_s.is_finite() && decision.next_s <= when {
+            return Err(Error::Config {
+                reason: format!(
+                    "control plane scheduled its next decision at {} from {when}: must \
+                     be strictly later",
+                    decision.next_s
+                ),
+            });
+        }
+        self.control.next_s = Some(decision.next_s).filter(|t| t.is_finite());
+        // Decisions count against the iteration backstop so a controller
+        // that stalls the fleet still trips it.
+        self.iterations += 1;
+        Ok(())
+    }
+
+    /// Applies one control action if it is valid now; returns whether it
+    /// applied.
+    fn apply(&mut self, action: &ControlAction, when: f64) -> Result<bool, Error> {
+        Ok(match *action {
+            ControlAction::SetPolicy(p) => {
+                self.cfg.policy = p;
+                true
+            }
+            ControlAction::SetPrefillChunk(c) => {
+                if c > 0 {
+                    self.cfg.prefill_chunk = c;
                 }
-                Action::Arrival => {
-                    let id = next_arrival;
-                    next_arrival += 1;
-                    let views = accepting_views(&replicas, &states, usize::MAX, Phase::Prefill);
-                    if views.is_empty() {
-                        return Err(Error::Config {
-                            reason: format!(
-                                "request {id} arrived at {when:.3}s with every \
-                                 prefill-capable replica drained or failed"
-                            ),
-                        });
-                    }
-                    let dest = routers.route(Phase::Prefill, states[id].session, &views);
-                    replicas[dest].waiting.push(id);
-                    // Token-bucket admission control (when armed): the
-                    // arrival pays its prompt tokens; past the burst its
-                    // ready time is pushed to when the refill covers it.
-                    if let Some(bucket) = &mut admission {
-                        let admit_at = bucket.admit(when, states[id].prompt as f64);
-                        if admit_at > when {
-                            states[id].ready_s = states[id].ready_s.max(admit_at);
-                            resoftmax_obs::counter("ctrl.admission_delays").incr();
-                        }
-                    }
+                c > 0
+            }
+            ControlAction::SetAdmission {
+                tokens_per_s,
+                burst_tokens,
+            } => {
+                let valid = tokens_per_s > 0.0
+                    && tokens_per_s.is_finite()
+                    && burst_tokens > 0.0
+                    && burst_tokens.is_finite();
+                if valid {
+                    self.control.admission =
+                        Some(TokenBucket::new(tokens_per_s, burst_tokens, when));
                 }
-                Action::Handoff(hi) => {
-                    // `remove` (not `swap_remove`) keeps enqueue order for
-                    // the remaining in-flight transfers, so same-time ties
-                    // stay deterministic.
-                    let h = pending_handoffs.remove(hi);
-                    let id = h.id;
-                    let views = accepting_views(&replicas, &states, usize::MAX, Phase::Decode);
-                    if views.is_empty() {
-                        return Err(Error::Config {
-                            reason: format!(
-                                "request {id} finished its KV handoff at {when:.3}s \
-                                 with every decode-capable replica drained or failed"
-                            ),
-                        });
-                    }
-                    let dest = routers.route(Phase::Decode, states[id].session, &views);
-                    // Reserve the landed pages up front when the pool has
-                    // room; otherwise the request queues with no reservation
-                    // and admission allocates (possibly reclaiming parked
-                    // reservations) later — the cache itself is preserved
-                    // either way, so decode proceeds without re-prefill.
-                    let need = replicas[dest].pool.blocks_for(states[id].cached);
-                    if replicas[dest].pool.try_alloc(need) {
-                        states[id].blocks = need;
-                    }
-                    states[id].ready_s = h.at_s;
-                    replicas[dest].waiting.push(id);
-                    replicas[dest].note_handoff_in();
+                valid
+            }
+            ControlAction::ClearAdmission => self.control.admission.take().is_some(),
+            ControlAction::ScaleUp { replica: i } => {
+                let valid = self
+                    .replicas
+                    .get(i)
+                    .is_some_and(|r| r.standby && !r.warming && !r.failed && !r.drained);
+                if valid {
+                    self.replicas[i].warming = true;
+                    // Warm-up is the model weights streaming over the link;
+                    // the replica activates when the transfer lands.
+                    let warm = self
+                        .fleet
+                        .link
+                        .transfer_time_s(weight_bytes(&self.fleet.model));
+                    self.activations.push((i, when + warm));
                 }
-                Action::Step(i) => {
-                    replicas[i].clock_s = when;
-                    let (nt, nb) = (acc.ttft.len(), acc.tbt.len());
-                    let outcome = replicas[i].step(
-                        &mut states,
-                        &live_cfg,
-                        &self.model,
-                        &self.params,
-                        self.planner(i),
-                        &mut acc,
-                    )?;
-                    total_iterations += 1;
-                    // Feed the step's fresh latency samples into the
-                    // control-plane signal windows, stamped at the
-                    // replica's post-step clock.
-                    if let Some((tw, bw)) = &mut signal_windows {
-                        for &v in &acc.ttft[nt..] {
-                            tw.push(replicas[i].clock_s, v);
-                        }
-                        for &v in &acc.tbt[nb..] {
-                            bw.push(replicas[i].clock_s, v);
-                        }
-                    }
-                    for victim in outcome.evicted {
-                        self.place_displaced(
-                            victim,
-                            i,
-                            replicas[i].clock_s,
-                            &mut replicas,
-                            &mut states,
-                            &mut routers,
-                            &mut migrations,
-                            &mut migration_drops,
-                            &mut kv_migrated_bytes,
-                            &mut migration_time_s,
-                            bytes_per_token,
-                        );
-                    }
-                    for id in outcome.handoffs {
-                        // Price the finished prefill's KV pages across the
-                        // link; the request re-enters the fleet when the
-                        // transfer lands (the Handoff action above).
-                        let bytes = states[id].cached as u64 * bytes_per_token;
-                        let transfer = self.link.transfer_time_s(bytes);
-                        kv_handoff_bytes += bytes;
-                        kv_handoff_time_s += transfer;
-                        pending_handoffs.push(Handoff {
-                            id,
-                            at_s: replicas[i].clock_s + transfer,
-                        });
-                    }
+                valid
+            }
+            ControlAction::ScaleDown { replica: i } => {
+                let survives = |capable: fn(Role) -> bool| {
+                    self.replicas
+                        .iter()
+                        .any(|o| o.accepting && o.id != i && capable(o.role))
+                };
+                let valid = self.replicas.get(i).is_some_and(|r| r.accepting)
+                    && survives(Role::prefill_capable)
+                    && survives(Role::decode_capable);
+                if valid {
+                    self.replicas[i].accepting = false;
+                    self.replicas[i].standby = true;
+                    self.displace_all(i, when, "scaled down")?;
+                    self.tally.scale_downs += 1;
+                    resoftmax_obs::counter("ctrl.scale_downs").incr();
                 }
-                Action::Activate(ai) => {
-                    // `remove` (not `swap_remove`) keeps enqueue order for
-                    // the remaining in-flight warm-ups.
-                    let (r, at) = pending_activations.remove(ai);
-                    replicas[r].warming = false;
-                    // A fault that landed mid-warm-up wins: the weight
-                    // transfer is discarded and the replica stays out.
-                    if !replicas[r].failed && !replicas[r].drained {
-                        replicas[r].standby = false;
-                        replicas[r].accepting = true;
-                        replicas[r].clock_s = replicas[r].clock_s.max(at);
-                        scale_ups += 1;
-                        resoftmax_obs::counter("ctrl.scale_ups").incr();
-                    }
-                }
-                Action::Decide => {
-                    let control = self
-                        .control
-                        .expect("Decide fires only with a control plane attached");
-                    let queue_depth: usize = replicas.iter().map(|r| r.waiting.len()).sum();
-                    let handoff_backlog = pending_handoffs.len();
-                    let active = replicas.iter().filter(|r| r.accepting).count();
-                    let kv_occupancy = if active > 0 {
-                        replicas
-                            .iter()
-                            .filter(|r| r.accepting)
-                            .map(|r| r.pool.occupancy())
-                            .sum::<f64>()
-                            / active as f64
-                    } else {
-                        0.0
-                    };
-                    let (ttft, tbt) = match &signal_windows {
-                        Some((tw, bw)) => (tw.stats(when), bw.stats(when)),
-                        None => (None, None),
-                    };
-                    let signals = FleetSignals {
-                        now_s: when,
-                        arrived: next_arrival,
-                        completed: acc.completed,
-                        queue_depth,
-                        handoff_backlog,
-                        max_batch: live_cfg.max_batch,
-                        ttft,
-                        tbt,
-                        replicas: replicas
-                            .iter()
-                            .map(|r| ReplicaSignal {
-                                id: r.id,
-                                role: r.role,
-                                accepting: r.accepting,
-                                standby: r.standby,
-                                warming: r.warming,
-                                queue_len: r.waiting.len(),
-                                running: r.running.len(),
-                                kv_occupancy: r.pool.occupancy(),
-                            })
-                            .collect(),
-                    };
-                    let decision = control.decide(&signals);
-                    let mut applied = Vec::with_capacity(decision.actions.len());
-                    for a in &decision.actions {
-                        let ok = match *a {
-                            ControlAction::SetPolicy(p) => {
-                                live_cfg.policy = p;
-                                true
-                            }
-                            ControlAction::SetPrefillChunk(c) => {
-                                if c > 0 {
-                                    live_cfg.prefill_chunk = c;
-                                }
-                                c > 0
-                            }
-                            ControlAction::SetAdmission {
-                                tokens_per_s,
-                                burst_tokens,
-                            } => {
-                                let valid = tokens_per_s > 0.0
-                                    && tokens_per_s.is_finite()
-                                    && burst_tokens > 0.0
-                                    && burst_tokens.is_finite();
-                                if valid {
-                                    admission =
-                                        Some(TokenBucket::new(tokens_per_s, burst_tokens, when));
-                                }
-                                valid
-                            }
-                            ControlAction::ClearAdmission => admission.take().is_some(),
-                            ControlAction::ScaleUp { replica: r } => {
-                                let valid = r < replicas.len()
-                                    && replicas[r].standby
-                                    && !replicas[r].warming
-                                    && !replicas[r].failed
-                                    && !replicas[r].drained;
-                                if valid {
-                                    replicas[r].warming = true;
-                                    // Warm-up is the model weights streaming
-                                    // over the link; the replica activates
-                                    // when the transfer lands.
-                                    let warm = self.link.transfer_time_s(weight_bytes(&self.model));
-                                    pending_activations.push((r, when + warm));
-                                }
-                                valid
-                            }
-                            ControlAction::ScaleDown { replica: r } => {
-                                let survives = |capable: fn(Role) -> bool| {
-                                    replicas
-                                        .iter()
-                                        .any(|o| o.accepting && o.id != r && capable(o.role))
-                                };
-                                let valid = r < replicas.len()
-                                    && replicas[r].accepting
-                                    && survives(Role::prefill_capable)
-                                    && survives(Role::decode_capable);
-                                if valid {
-                                    replicas[r].accepting = false;
-                                    replicas[r].standby = true;
-                                    self.displace_all(
-                                        r,
-                                        when,
-                                        "scaled down",
-                                        &mut replicas,
-                                        &mut states,
-                                        &mut routers,
-                                        &mut migrations,
-                                        &mut migration_drops,
-                                        &mut kv_migrated_bytes,
-                                        &mut migration_time_s,
-                                        bytes_per_token,
-                                    )?;
-                                    scale_downs += 1;
-                                    resoftmax_obs::counter("ctrl.scale_downs").incr();
-                                }
-                                valid
-                            }
-                        };
-                        applied.push(ok);
-                    }
-                    decisions.push(ControlRecord {
-                        seq: decisions.len(),
-                        at_s: when,
-                        regime: decision.regime,
-                        actions: decision.actions,
-                        applied,
-                        queue_depth,
-                        active_replicas: active,
-                        kv_occupancy,
-                        handoff_backlog,
-                        ttft,
-                        tbt,
-                    });
-                    if !decision.next_s.is_finite() {
-                        ctrl_next = f64::INFINITY;
-                    } else if decision.next_s <= when {
-                        return Err(Error::Config {
-                            reason: format!(
-                                "control plane scheduled its next decision at {} from \
-                                 {when}: must be strictly later",
-                                decision.next_s
-                            ),
-                        });
-                    } else {
-                        ctrl_next = decision.next_s;
-                    }
-                    // Decisions count against the iteration backstop so a
-                    // controller that stalls the fleet still trips it.
-                    total_iterations += 1;
+                valid
+            }
+        })
+    }
+
+    /// Runs one engine iteration on replica `i`, then feeds the control
+    /// plane's signal windows and re-routes what the step released.
+    fn step(&mut self, i: usize, when: f64) -> Result<(), Error> {
+        let fleet = self.fleet;
+        let (nt, nb) = (self.acc.ttft.len(), self.acc.tbt.len());
+        let planner = fleet.planner(i);
+        let schedule = |ctxs: &[usize]| {
+            build_batched_decode_schedule(&fleet.model, ctxs, &planner.plan(ctxs, &fleet.params))
+        };
+        let r = &mut self.replicas[i];
+        r.clock_s = when;
+        let outcome = r.step(&mut self.states, &self.cfg, &schedule, &mut self.acc)?;
+        self.iterations += 1;
+        let now_s = r.clock_s;
+        // Fresh latency samples are stamped at the replica's post-step clock.
+        if let Some((tw, bw)) = &mut self.control.windows {
+            for &v in &self.acc.ttft[nt..] {
+                tw.push(now_s, v);
+            }
+            for &v in &self.acc.tbt[nb..] {
+                bw.push(now_s, v);
+            }
+        }
+        for victim in outcome.evicted {
+            self.place_displaced(victim, i, now_s);
+        }
+        for id in outcome.handoffs {
+            // Price the finished prefill's KV pages across the link; the
+            // request re-enters the fleet when the transfer lands.
+            let bytes = self.states[id].cached as u64 * self.bytes_per_token;
+            let transfer = fleet.link.transfer_time_s(bytes);
+            self.tally.kv_handoff_bytes += bytes;
+            self.tally.kv_handoff_time_s += transfer;
+            self.handoffs.push(Handoff {
+                id,
+                at_s: now_s + transfer,
+            });
+        }
+        Ok(())
+    }
+
+    /// Displaces every request resident on replica `i` after it left
+    /// rotation (fault, drain, or control-plane scale-down). Running
+    /// requests go first, then the waiting queue, so seniority is preserved
+    /// at the destinations; `what` labels the no-survivor error.
+    fn displace_all(&mut self, i: usize, at_s: f64, what: &str) -> Result<(), Error> {
+        // The replica finishes its in-flight iteration first (clock_s is its
+        // busy-until time): displacement happens at the later of the two.
+        let r = &mut self.replicas[i];
+        let now_s = at_s.max(r.clock_s);
+        let displaced: Vec<usize> = std::mem::take(&mut r.running)
+            .into_iter()
+            .chain(std::mem::take(&mut r.waiting))
+            .collect();
+        if displaced.is_empty() {
+            return Ok(());
+        }
+        if !self.replicas.iter().any(|r| r.accepting) {
+            return Err(Error::Config {
+                reason: format!(
+                    "replica {i} {what} at {at_s:.3}s with {} requests resident and no \
+                     accepting replica left",
+                    displaced.len()
+                ),
+            });
+        }
+        for id in displaced {
+            self.replicas[i].release(&mut self.states, id);
+            if self.replicas[i].failed {
+                // The pool died with the replica: the cache is gone before
+                // any migration question arises.
+                self.states[id].cached = 0;
+            }
+            self.place_displaced(id, i, now_s);
+        }
+        Ok(())
+    }
+
+    /// Re-homes a request displaced from `source` (eviction overflow, drain,
+    /// failure). Its KV migrates over the link when it has resident cache
+    /// and a sibling has pool room; otherwise the cache is dropped and the
+    /// request re-prefills at its destination.
+    fn place_displaced(&mut self, id: usize, source: usize, now_s: f64) {
+        debug_assert_eq!(
+            self.states[id].blocks, 0,
+            "displaced requests hold no blocks"
+        );
+        let had_cache = self.states[id].cached > 0;
+        if had_cache {
+            // Migrate toward the subset that can run the request's next
+            // phase: a decode-ready cache goes to the decode side, a partial
+            // prefill back to the prefill side.
+            let phase = phase_of(&self.states[id]);
+            let views = accepting_views(&self.replicas, &self.states, source, phase);
+            if !views.is_empty() {
+                let st = &mut self.states[id];
+                let dest = self.routers.route(phase, st.session, &views);
+                let need = self.replicas[dest].pool.blocks_for(st.cached);
+                if self.replicas[dest].pool.try_alloc(need) {
+                    let bytes = st.cached as u64 * self.bytes_per_token;
+                    let transfer = self.fleet.link.transfer_time_s(bytes);
+                    st.blocks = need;
+                    st.ready_s = st.ready_s.max(now_s) + transfer;
+                    self.replicas[dest].waiting.push(id);
+                    self.replicas[source].note_migration_out();
+                    self.replicas[dest].note_migration_in();
+                    resoftmax_obs::counter("serve.migrations").incr();
+                    self.tally.migrations += 1;
+                    self.tally.kv_migrated_bytes += bytes;
+                    self.tally.migration_time_s += transfer;
+                    return;
                 }
             }
         }
+        // No migration path: the cache is dropped and the request re-queues
+        // wherever the router sends it (the source included, if accepting).
+        // With no cache left it owes prefill work, so it routes over the
+        // prefill-capable subset.
+        let st = &mut self.states[id];
+        st.cached = 0;
+        st.ready_s = st.ready_s.max(now_s);
+        if had_cache {
+            self.tally.migration_drops += 1;
+            resoftmax_obs::counter("serve.migration_drops").incr();
+        }
+        let views = accepting_views(&self.replicas, &self.states, usize::MAX, Phase::Prefill);
+        let dest = if views.is_empty() {
+            // Every replica is out of rotation; park the request back on the
+            // source so the stall surfaces as a typed error, not a lost
+            // request.
+            source
+        } else {
+            self.routers
+                .route(Phase::Prefill, self.states[id].session, &views)
+        };
+        self.replicas[dest].waiting.push(id);
+    }
 
-        assert_eq!(
-            acc.completed, cfg.requests,
-            "scheduler bug: loop exited with requests outstanding"
-        );
-        let sim_time_s = acc.last_completion_s;
-        let iterations: usize = replicas.iter().map(|r| r.iterations).sum();
-        let evictions: usize = replicas.iter().map(|r| r.evictions).sum();
-        let prefill_tokens: u64 = replicas.iter().map(|r| r.prefill_tokens).sum();
-        let decode_tokens: u64 = replicas.iter().map(|r| r.decode_tokens).sum();
-        let handoffs: usize = replicas.iter().map(|r| r.handoffs_out).sum();
-        let preemptions: usize = replicas.iter().map(|r| r.preemptions).sum();
-        // Prefill rows run on a dedicated decode replica only when a
-        // handed-off request later loses its cache to memory pressure: the
-        // disaggregation contract's "no re-prefill" is this staying zero.
-        let decode_side_prefill_tokens: u64 = replicas
-            .iter()
-            .filter(|r| r.role == Role::Decode)
-            .map(|r| r.prefill_tokens)
-            .sum();
-        let replica_stats: Vec<ReplicaStats> = replicas
+    /// Aggregates the finished run into its report (and hands the
+    /// per-replica simulated timelines to the trace recorder when tracing).
+    fn report(self) -> FleetReport {
+        let fleet = self.fleet;
+        let replicas = &self.replicas;
+        let sim_time_s = self.acc.last_completion_s;
+        let sum = |f: fn(&Replica) -> u64| replicas.iter().map(f).sum::<u64>();
+        let count = |f: fn(&Replica) -> usize| replicas.iter().map(f).sum::<usize>();
+        let decode_tokens = sum(|r| r.decode_tokens);
+        let replica_stats = replicas
             .iter()
             .map(|r| ReplicaStats {
                 id: r.id,
@@ -1287,227 +1397,55 @@ impl Fleet<'_> {
                 failed: r.failed,
             })
             .collect();
-
-        if trace {
-            for r in &replicas {
-                if let Some(tl) = &r.timeline {
-                    if !tl.is_empty() {
-                        resoftmax_obs::recorder().add_sim_stream(
-                            format!("serve.replica.{}/{}", r.id, r.device.name),
-                            anchor_us,
-                            resoftmax_gpusim::chrome_trace::to_obs_events(tl),
-                        );
-                    }
+        if let Some(anchor_us) = self.trace_anchor_us {
+            for r in replicas {
+                if let Some(tl) = r.timeline.as_ref().filter(|tl| !tl.is_empty()) {
+                    resoftmax_obs::recorder().add_sim_stream(
+                        format!("serve.replica.{}/{}", r.id, r.device.name),
+                        anchor_us,
+                        resoftmax_gpusim::chrome_trace::to_obs_events(tl),
+                    );
                 }
             }
         }
-
-        Ok(FleetReport {
-            strategy: format!("{:?}", self.params.strategy).to_lowercase(),
-            policy: cfg.policy.name().to_owned(),
-            router: self.router.name().to_owned(),
-            link: self.link.name.clone(),
-            submitted: arrivals.len(),
-            completed: acc.completed,
-            iterations,
-            evictions,
-            migrations,
-            migration_drops,
-            kv_migrated_bytes,
-            migration_time_s,
-            handoffs,
-            kv_handoff_bytes,
-            kv_handoff_time_s,
-            decode_side_prefill_tokens,
+        let t = self.tally;
+        FleetReport {
+            strategy: format!("{:?}", fleet.params.strategy).to_lowercase(),
+            policy: fleet.cfg.policy.name().to_owned(),
+            router: fleet.router.name().to_owned(),
+            link: fleet.link.name.clone(),
+            submitted: self.arrivals.len(),
+            completed: self.acc.completed,
+            iterations: count(|r| r.iterations),
+            evictions: count(|r| r.evictions),
+            migrations: t.migrations,
+            migration_drops: t.migration_drops,
+            kv_migrated_bytes: t.kv_migrated_bytes,
+            migration_time_s: t.migration_time_s,
+            handoffs: count(|r| r.handoffs_out),
+            kv_handoff_bytes: t.kv_handoff_bytes,
+            kv_handoff_time_s: t.kv_handoff_time_s,
+            // Prefill rows run on a dedicated decode replica only when a
+            // handed-off request later loses its cache to memory pressure:
+            // the disaggregation contract's "no re-prefill" is this staying
+            // zero.
+            decode_side_prefill_tokens: replicas
+                .iter()
+                .filter(|r| r.role == Role::Decode)
+                .map(|r| r.prefill_tokens)
+                .sum(),
             sim_time_s,
-            prefill_tokens,
+            prefill_tokens: sum(|r| r.prefill_tokens),
             decode_tokens,
             decode_tokens_per_s: decode_tokens as f64 / sim_time_s,
-            ttft: Percentiles::from_samples(&acc.ttft),
-            tbt: Percentiles::from_samples(&acc.tbt),
-            preemptions,
-            scale_ups,
-            scale_downs,
-            decisions,
+            ttft: Percentiles::from_samples(&self.acc.ttft),
+            tbt: Percentiles::from_samples(&self.acc.tbt),
+            preemptions: count(|r| r.preemptions),
+            scale_ups: t.scale_ups,
+            scale_downs: t.scale_downs,
+            decisions: self.control.decisions,
             replicas: replica_stats,
-        })
-    }
-
-    /// Re-homes a request displaced from `source` (eviction overflow, drain,
-    /// failure). Attempts a KV migration over the link when the request has
-    /// resident cache, migration is enabled, and a sibling has pool room;
-    /// otherwise the cache is dropped and the request re-prefills at its
-    /// destination.
-    #[allow(clippy::too_many_arguments)]
-    fn place_displaced(
-        &self,
-        id: usize,
-        source: usize,
-        now_s: f64,
-        replicas: &mut [Replica],
-        states: &mut [ReqState],
-        routers: &mut Routers,
-        migrations: &mut usize,
-        migration_drops: &mut usize,
-        kv_migrated_bytes: &mut u64,
-        migration_time_s: &mut f64,
-        bytes_per_token: u64,
-    ) {
-        debug_assert_eq!(states[id].blocks, 0, "displaced requests hold no blocks");
-        let had_cache = states[id].cached > 0;
-        if self.migrate_on_evict && had_cache {
-            // Migrate toward the subset that can run the request's next
-            // phase: a decode-ready cache goes to the decode side, a partial
-            // prefill back to the prefill side.
-            let phase = phase_of(&states[id]);
-            let views = accepting_views(replicas, states, source, phase);
-            if !views.is_empty() {
-                let dest = routers.route(phase, states[id].session, &views);
-                let need = replicas[dest].pool.blocks_for(states[id].cached);
-                if replicas[dest].pool.try_alloc(need) {
-                    let bytes = states[id].cached as u64 * bytes_per_token;
-                    let transfer = self.link.transfer_time_s(bytes);
-                    states[id].blocks = need;
-                    states[id].ready_s = states[id].ready_s.max(now_s) + transfer;
-                    replicas[dest].waiting.push(id);
-                    replicas[source].note_migration_out();
-                    replicas[dest].note_migration_in();
-                    resoftmax_obs::counter("serve.migrations").incr();
-                    *migrations += 1;
-                    *kv_migrated_bytes += bytes;
-                    *migration_time_s += transfer;
-                    return;
-                }
-            }
         }
-        // No migration path: the cache is dropped and the request re-queues
-        // wherever the router sends it (the source included, if accepting).
-        // With no cache left it owes prefill work, so it routes over the
-        // prefill-capable subset.
-        states[id].cached = 0;
-        states[id].ready_s = states[id].ready_s.max(now_s);
-        if had_cache {
-            *migration_drops += 1;
-            resoftmax_obs::counter("serve.migration_drops").incr();
-        }
-        let views = accepting_views(replicas, states, usize::MAX, Phase::Prefill);
-        let dest = if views.is_empty() {
-            // Every replica is out of rotation; park the request back on the
-            // source so the stall surfaces as the typed no-accepting-replica
-            // error (or the iteration backstop), not a lost request.
-            source
-        } else {
-            routers.route(Phase::Prefill, states[id].session, &views)
-        };
-        replicas[dest].waiting.push(id);
-    }
-
-    /// Applies one scripted fault at its simulated time.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_fault(
-        &self,
-        ev: FleetEvent,
-        replicas: &mut [Replica],
-        states: &mut [ReqState],
-        routers: &mut Routers,
-        migrations: &mut usize,
-        migration_drops: &mut usize,
-        kv_migrated_bytes: &mut u64,
-        migration_time_s: &mut f64,
-        bytes_per_token: u64,
-    ) -> Result<(), Error> {
-        let i = ev.replica();
-        let at_s = ev.at_s();
-        match ev {
-            FleetEvent::Drain { .. } => {
-                replicas[i].accepting = false;
-                replicas[i].drained = true;
-            }
-            FleetEvent::Fail { .. } => {
-                replicas[i].accepting = false;
-                replicas[i].failed = true;
-            }
-        }
-        let what = if replicas[i].failed {
-            "failed"
-        } else {
-            "drained"
-        };
-        self.displace_all(
-            i,
-            at_s,
-            what,
-            replicas,
-            states,
-            routers,
-            migrations,
-            migration_drops,
-            kv_migrated_bytes,
-            migration_time_s,
-            bytes_per_token,
-        )
-    }
-
-    /// Displaces every request resident on replica `i` after it left
-    /// rotation (fault, drain, or control-plane scale-down). Running
-    /// requests go first, then the waiting queue, so seniority is preserved
-    /// at the destinations; `what` labels the no-survivor error.
-    #[allow(clippy::too_many_arguments)]
-    fn displace_all(
-        &self,
-        i: usize,
-        at_s: f64,
-        what: &str,
-        replicas: &mut [Replica],
-        states: &mut [ReqState],
-        routers: &mut Routers,
-        migrations: &mut usize,
-        migration_drops: &mut usize,
-        kv_migrated_bytes: &mut u64,
-        migration_time_s: &mut f64,
-        bytes_per_token: u64,
-    ) -> Result<(), Error> {
-        // The replica finishes its in-flight iteration first (clock_s is its
-        // busy-until time): displacement happens at the later of the two.
-        let now_s = at_s.max(replicas[i].clock_s);
-        let displaced: Vec<usize> = std::mem::take(&mut replicas[i].running)
-            .into_iter()
-            .chain(std::mem::take(&mut replicas[i].waiting))
-            .collect();
-        if displaced.is_empty() {
-            return Ok(());
-        }
-        if !replicas.iter().any(|r| r.accepting) {
-            return Err(Error::Config {
-                reason: format!(
-                    "replica {i} {what} at {at_s:.3}s with {} requests resident and no \
-                     accepting replica left",
-                    displaced.len()
-                ),
-            });
-        }
-        for id in displaced {
-            replicas[i].release(states, id);
-            if replicas[i].failed {
-                // The pool died with the replica: the cache is gone before
-                // any migration question arises.
-                states[id].cached = 0;
-            }
-            self.place_displaced(
-                id,
-                i,
-                now_s,
-                replicas,
-                states,
-                routers,
-                migrations,
-                migration_drops,
-                kv_migrated_bytes,
-                migration_time_s,
-                bytes_per_token,
-            );
-        }
-        Ok(())
     }
 }
 

@@ -9,8 +9,7 @@
 //! controller to [`decide`](ControlPlane::decide), applies the returned
 //! [`ControlAction`]s, and appends a [`ControlRecord`] to the report's
 //! decision log. Exact-f64 tie order extends the existing ordering to
-//! *fault ≤ arrival ≤ handoff ≤ ctrl ≤ step* (within ctrl, scale-up
-//! activations land before the decision).
+//! *fault < arrival < handoff < scale-up activation < decision < step*.
 //!
 //! Everything here lives on the simulated clock and is deterministic in the
 //! builder inputs, so a controlled fleet's report — decision log included —

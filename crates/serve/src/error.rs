@@ -3,8 +3,7 @@
 use std::fmt;
 
 /// Everything that can go wrong when configuring or running a serving
-/// simulation through the [`FleetBuilder`](crate::FleetBuilder) API (and the
-/// legacy [`run_serve`](crate::run_serve) wrappers that delegate to it).
+/// simulation through the [`FleetBuilder`](crate::FleetBuilder) API.
 ///
 /// Marked `#[non_exhaustive]`: future versions may add variants (match with
 /// a wildcard arm).

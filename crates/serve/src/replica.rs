@@ -20,12 +20,10 @@
 //! takes no fresh arrivals; it receives handed-off KV and decodes. `Unified`
 //! is the classic colocated engine doing both.
 
-use crate::engine::IterationPlanner;
 use crate::error::Error;
 use crate::kv::KvPool;
 use crate::request::{Policy, ServeConfig};
-use resoftmax_gpusim::{DeviceSpec, Gpu, Timeline};
-use resoftmax_model::{build_batched_decode_schedule, ModelConfig, RunParams};
+use resoftmax_gpusim::{DeviceSpec, Gpu, PeriodicSchedule, Timeline};
 use resoftmax_obs::Counter;
 
 /// A replica's serving role in a (possibly disaggregated) fleet.
@@ -425,15 +423,14 @@ impl Replica {
     }
 
     /// Runs one engine iteration at `self.clock_s` (the caller has already
-    /// advanced it to this replica's next-action time). Returns the evicted
-    /// and handed-off request ids for the fleet to re-route.
+    /// advanced it to this replica's next-action time) and prices the
+    /// schedule `schedule` builds for the iteration's row contexts. Returns
+    /// the evicted and handed-off request ids for the fleet to re-route.
     pub fn step(
         &mut self,
         states: &mut [ReqState],
         cfg: &ServeConfig,
-        model: &ModelConfig,
-        params: &RunParams,
-        planner: &dyn IterationPlanner,
+        schedule: &dyn Fn(&[usize]) -> PeriodicSchedule,
         acc: &mut StepAcc,
     ) -> Result<StepOutcome, Error> {
         self.admit(states, cfg);
@@ -490,9 +487,7 @@ impl Replica {
         // drains cost state (and flushes L2) so one `Gpu` serves the whole
         // run without re-paying construction per iteration.
         let span = resoftmax_obs::span("serve.iteration", "serve");
-        let iter_params = planner.plan(&ctxs, params);
-        self.gpu
-            .run(&build_batched_decode_schedule(model, &ctxs, &iter_params))?;
+        self.gpu.run(&schedule(&ctxs))?;
         let timeline = self.gpu.take_timeline();
         let dt = timeline.total_time_s();
         drop(span);

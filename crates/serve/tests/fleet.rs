@@ -1,13 +1,14 @@
 //! Integration tests for the fleet serving simulator: determinism across
 //! host thread counts, fault scenarios, prefill/decode disaggregation,
-//! KV-pool conservation, legacy-wrapper equivalence, and the TTFT
+//! KV-pool conservation, the event tie order, typed run errors, and the TTFT
 //! definition under chunked prefill.
 
 use resoftmax_gpusim::{DeviceSpec, Gpu};
 use resoftmax_model::{build_batched_decode_schedule, ModelConfig, RunParams};
 use resoftmax_serve::{
-    kv_bytes_per_token, poisson_arrivals, run_serve, Error, FleetBuilder, FleetReport, LinkSpec,
-    Policy, Role, RouterPolicy, ServeConfig,
+    kv_bytes_per_token, poisson_arrivals, weight_bytes, Arrival, ControlAction, ControlDecision,
+    ControlInit, ControlPlane, Error, FleetBuilder, FleetReport, FleetSignals, LinkSpec, Policy,
+    Role, RouterPolicy, ServeConfig,
 };
 
 fn model() -> ModelConfig {
@@ -137,32 +138,6 @@ fn failure_loses_kv_but_the_fleet_recovers() {
     // so no link traffic is charged for them.
     assert_eq!(report.replicas[1].completed, 0, "{report:?}");
     assert!(report.replicas[0].completed == cfg.requests);
-}
-
-#[test]
-#[cfg_attr(miri, ignore = "end-to-end simulation is too slow under miri")]
-fn legacy_wrappers_match_a_one_replica_fleet() {
-    let cfg = ServeConfig {
-        requests: 8,
-        ..small_cfg()
-    };
-    let params = RunParams::new(4096);
-    let legacy = run_serve(&model(), &DeviceSpec::a100(), &params, &cfg).unwrap();
-    let fleet = FleetBuilder::new()
-        .model(model())
-        .params(params)
-        .replica(DeviceSpec::a100())
-        .workload(cfg)
-        .build()
-        .unwrap()
-        .run()
-        .unwrap()
-        .serve_report();
-    assert_eq!(
-        serde_json::to_string(&legacy).unwrap(),
-        serde_json::to_string(&fleet).unwrap(),
-        "run_serve must be byte-identical to a one-replica fleet"
-    );
 }
 
 #[test]
@@ -639,4 +614,180 @@ fn preemptive_priority_preempts_decodes_without_losing_work() {
         report.prefill_tokens, prompt_total,
         "preempted requests re-prefilled: resident KV was not preserved"
     );
+}
+
+/// FNV-1a 64 over a serialized report: a compact pin for "bit-identical".
+fn digest(report: &FleetReport) -> String {
+    let json = serde_json::to_string(report).unwrap();
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in json.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
+/// Scales up replica 5 at its first decision, timed so the warm-up lands
+/// at `second_s`; there it shrinks the prefill chunk and goes idle.
+struct Scripted {
+    first_s: f64,
+    second_s: f64,
+}
+
+impl ControlPlane for Scripted {
+    fn begin(&self, _cfg: &ServeConfig) -> ControlInit {
+        ControlInit {
+            first_decision_s: self.first_s,
+            window_s: 1.0,
+        }
+    }
+
+    fn decide(&self, signals: &FleetSignals) -> ControlDecision {
+        if signals.now_s < self.second_s {
+            ControlDecision {
+                regime: "scale".to_owned(),
+                actions: vec![ControlAction::ScaleUp { replica: 5 }],
+                next_s: self.second_s,
+            }
+        } else {
+            ControlDecision {
+                regime: "chunk".to_owned(),
+                actions: vec![ControlAction::SetPrefillChunk(16)],
+                next_s: f64::INFINITY,
+            }
+        }
+    }
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "end-to-end simulation is too slow under miri")]
+fn simultaneous_events_resolve_in_the_pinned_tie_order() {
+    // Every event source fires on a shared f64 instant at least once, and
+    // each adjacent pair in the tie order
+    // fault < arrival < handoff < activate < decide < step
+    // changes the report when swapped:
+    //   t = 0   drain 0 + fail 1 + two arrivals (the arrivals must not see
+    //           the faulted replicas);
+    //   tm      drain 2 + fail 3 + one arrival, while replica 2's step that
+    //           started at a1 is still in flight;
+    //   h       request 1's KV handoff lands, request 2 arrives, standby 5
+    //           finishes warming, the controller decides, and replica 4
+    //           steps — the handoff and the arrival both land on replica 4
+    //           (FIFO, batch 1, so their queue order shows), and the
+    //           decision's chunk change reaches that step.
+    let m = model();
+    let params = RunParams::new(4096);
+    let link = LinkSpec {
+        name: "slow".to_owned(),
+        bandwidth_gbps: 0.25,
+        latency_us: 0.0,
+    };
+    let (p1, a1) = (128usize, 12.0f64);
+    let mut gpu = Gpu::new(DeviceSpec::a100());
+    gpu.run(&build_batched_decode_schedule(
+        &m,
+        &(1..=p1).collect::<Vec<_>>(),
+        &params,
+    ))
+    .unwrap();
+    let dt1 = gpu.take_timeline().total_time_s();
+    // Request 1 prefills alone on replica 2 from a1; its KV lands at h.
+    let h = (a1 + dt1) + link.transfer_time_s(p1 as u64 * kv_bytes_per_token(&m));
+    let tm = a1 + dt1 / 2.0;
+    // The first decision starts a warm-up that lands exactly at h.
+    let warm = link.transfer_time_s(weight_bytes(&m));
+    let mut d0 = h - warm;
+    while d0 + warm < h {
+        d0 = d0.next_up();
+    }
+    while d0 + warm > h {
+        d0 = d0.next_down();
+    }
+    assert_eq!(d0 + warm, h, "no decision time lands the warm-up on h");
+
+    let at = |at_s: f64, prompt: usize, decode: usize| Arrival {
+        at_s,
+        prompt,
+        decode,
+    };
+    let trace = vec![
+        at(0.0, 96, 6),
+        at(0.0, 160, 4),
+        at(a1, p1, 8),
+        at(tm, 64, 4),
+        at(h, 192, 5),
+        at(h + 1.0, 100, 12),
+    ];
+    let cfg = ServeConfig {
+        requests: trace.len(),
+        prompt_tokens: (64, 192),
+        decode_tokens: (4, 12),
+        max_batch: 1,
+        prefill_chunk: 128,
+        policy: Policy::Fifo,
+        ..ServeConfig::default()
+    };
+    let control = Scripted {
+        first_s: d0,
+        second_s: h,
+    };
+    let a100 = DeviceSpec::a100();
+    let fleet = FleetBuilder::new()
+        .model(m)
+        .params(params)
+        .replica_with_role(a100.clone(), Role::Prefill)
+        .replica_with_role(a100.clone(), Role::Decode)
+        .replica_with_role(a100.clone(), Role::Prefill)
+        .replica_with_role(a100.clone(), Role::Decode)
+        .replica_with_role(a100.clone(), Role::Unified)
+        .standby_replica_with_role(a100, Role::Decode)
+        .router(RouterPolicy::LeastLoaded)
+        .link(link)
+        .workload(cfg)
+        .arrivals(trace)
+        .control_plane(&control)
+        .drain_at(0, 0.0)
+        .fail_at(1, 0.0)
+        .drain_at(2, tm)
+        .fail_at(3, tm)
+        .build()
+        .unwrap();
+    let report = fleet.run().unwrap();
+
+    assert_eq!(report.completed, 6);
+    assert_eq!(report.scale_ups, 1);
+    assert_eq!(report.decisions.len(), 2);
+    let at_h = &report.decisions[1];
+    assert_eq!(at_h.at_s, h);
+    assert_eq!(
+        at_h.active_replicas, 2,
+        "the activation precedes the decision"
+    );
+    assert_eq!(at_h.handoff_backlog, 0, "the handoff precedes the decision");
+    assert_eq!(
+        report.replicas[5].handoffs_in, 0,
+        "the handoff precedes the activation"
+    );
+    assert_eq!(digest(&report), "fd789f662b010494", "{report:?}");
+    assert_eq!(digest(&fleet.run().unwrap()), digest(&report));
+}
+
+#[test]
+#[cfg_attr(miri, ignore = "end-to-end simulation is too slow under miri")]
+fn iteration_backstop_is_a_typed_error() {
+    // The builder accepts any positive backstop; a run that reaches it
+    // returns the config error instead of panicking.
+    let fleet = FleetBuilder::new()
+        .model(model())
+        .params(RunParams::new(4096))
+        .replica(DeviceSpec::a100())
+        .workload(ServeConfig {
+            max_iterations: 1,
+            ..small_cfg()
+        })
+        .build()
+        .unwrap();
+    let e = fleet.run().unwrap_err();
+    assert!(matches!(e, Error::Config { .. }), "{e}");
+    assert!(e.to_string().contains("exceeded 1 iterations"), "{e}");
 }

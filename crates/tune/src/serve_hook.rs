@@ -39,8 +39,7 @@ const LONG_TAIL_CTX: usize = 2048;
 /// Prices serving iterations with tuned schedules. Construct with
 /// [`TunedPlanner::new`] (one device) or [`TunedPlanner::for_fleet`] (one
 /// planner per replica) and pass to
-/// [`resoftmax_serve::FleetBuilder::planner`] or
-/// [`resoftmax_serve::run_serve_with`].
+/// [`resoftmax_serve::FleetBuilder::planner`].
 pub struct TunedPlanner<'a> {
     tuner: &'a Tuner,
     model: ModelConfig,
@@ -121,7 +120,8 @@ mod tests {
     use crate::search::SearchMode;
     use crate::space::SearchSpace;
     use resoftmax_serve::{
-        run_serve, run_serve_with, FleetBuilder, IterationPlanner, RouterPolicy, ServeConfig,
+        BaselinePlanner, Error, FleetBuilder, FleetReport, IterationPlanner, RouterPolicy,
+        ServeConfig,
     };
 
     fn cfg() -> ServeConfig {
@@ -136,6 +136,23 @@ mod tests {
         }
     }
 
+    /// One replica on `device` serving `cfg()`, priced through `planner`.
+    fn serve(
+        model: &ModelConfig,
+        device: &DeviceSpec,
+        params: &RunParams,
+        planner: &dyn IterationPlanner,
+    ) -> Result<FleetReport, Error> {
+        FleetBuilder::new()
+            .model(model.clone())
+            .params(params.clone())
+            .replica(device.clone())
+            .planner(planner)
+            .workload(cfg())
+            .build()?
+            .run()
+    }
+
     #[test]
     #[cfg_attr(miri, ignore = "end-to-end simulation is too slow under miri")]
     fn tuned_serving_completes_no_slower_than_baseline() {
@@ -145,14 +162,14 @@ mod tests {
         let tuner = Tuner::new(SearchSpace::smoke(), SearchMode::Exhaustive);
         let planner = TunedPlanner::new(&tuner, &model, &device);
 
-        let baseline = run_serve(&model, &device, &params, &cfg()).unwrap();
-        let tuned = run_serve_with(&model, &device, &params, &cfg(), &planner).unwrap();
+        let baseline = serve(&model, &device, &params, &BaselinePlanner).unwrap();
+        let tuned = serve(&model, &device, &params, &planner).unwrap();
         assert_eq!(tuned.completed, cfg().requests);
         assert!(tuned.sim_time_s <= baseline.sim_time_s);
         // The run touches few buckets; repeats must hit the cache.
         assert!(tuner.entries() >= 1);
         let hits = resoftmax_obs::counter("tune.cache_hits").get();
-        let rerun = run_serve_with(&model, &device, &params, &cfg(), &planner).unwrap();
+        let rerun = serve(&model, &device, &params, &planner).unwrap();
         assert_eq!(rerun, tuned);
         assert!(resoftmax_obs::counter("tune.cache_hits").get() > hits);
     }
